@@ -33,10 +33,10 @@ Rules (stdlib ``ast`` only, so this runs in the bare container):
            Comprehensions are exempt (they filter, not dispatch).
 
 ``RL005``  no ``._dispatch`` references outside ``pim/executor.py``.
-           Plan replay is the universal execution path; the serial
-           dispatcher survives only as the executor-internal audit
-           reference (``run(..., serial=True)``), and a new call site
-           would silently fork the semantics the plan engine must mirror.
+           Plan replay is the universal execution path; ``._dispatch``
+           is the executor-internal handler of the clock-coupling rows
+           (LUT/HOSTOP/DRAM/BARRIER) both plan walkers share, and a new
+           call site would silently fork the clock semantics they agree on.
 
 ``RL007``  no silent swallowing of broad exceptions in ``src/``: an
            ``except Exception:`` / ``except BaseException:`` / bare
@@ -47,8 +47,9 @@ Rules (stdlib ``ast`` only, so this runs in the bare container):
            specific exception type also satisfies the rule.
 
 ``RL008``  no direct ``ExecutionPlan`` replay call sites outside the two
-           executors: ``._run_plan`` / ``._run_plan_faulty`` may be
-           referenced only in ``pim/executor.py`` (the replay engine) and
+           executors: ``._run_plan`` (the segment fold) / ``._walk_plan``
+           (the per-instruction walk) may be referenced only in
+           ``pim/executor.py`` (the replay engine) and
            ``pim/multichip.py`` (the sharded executor layered on it).
            Mirrors RL005 for the plan path — a third replay call site
            would fork the clock/counter semantics both executors must
@@ -106,7 +107,7 @@ RL008_ALLOWED = (
     "src/repro/pim/executor.py",
     "src/repro/pim/multichip.py",
 )
-RL008_ATTRS = ("_run_plan", "_run_plan_faulty")
+RL008_ATTRS = ("_run_plan", "_walk_plan")
 
 #: RL006: where finding codes are registered / emitted.
 RL006_REGISTRY = "src/repro/analysis/findings.py"
@@ -215,7 +216,7 @@ def _lint_file(path: Path, root: Path,
                                 "dispatch per instruction"))
                     break
 
-    # RL005: serial-dispatch call sites stay inside the executor
+    # RL005: ._dispatch call sites stay inside the executor
     if not rel.startswith(RL005_ALLOWED):
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "_dispatch":

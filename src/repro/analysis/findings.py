@@ -87,8 +87,8 @@ FINDING_CODES: Dict[str, str] = {
     "RL007": "broad `except Exception:`/bare `except:` that silently "
              "swallows (body is only pass/...) — log via repro.obs or "
              "re-raise",
-    "RL008": "ExecutionPlan replay internals (._run_plan) referenced "
-             "outside ChipExecutor/ShardedExecutor",
+    "RL008": "ExecutionPlan replay internals (._run_plan/._walk_plan) "
+             "referenced outside ChipExecutor/ShardedExecutor",
 }
 
 

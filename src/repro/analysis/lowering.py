@@ -24,7 +24,7 @@ from typing import List, Sequence
 from repro.analysis.checker import CheckContext
 from repro.analysis.findings import ERROR, Finding
 from repro.pim.isa import Instruction, Opcode
-from repro.pim.plan import OP_IDS, STEP_TRANSFER, lower_program
+from repro.pim.plan import OP_IDS, STEP_TRANSFER
 
 __all__ = ["LoweringPass"]
 

@@ -36,7 +36,6 @@ from repro.dg.reference_element import ReferenceElement
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor
 from repro.pim.isa import Opcode
-from repro.pim.plan import plan_enabled
 from repro.pim.schedule import schedule_enabled, schedule_plan
 from repro.pim.params import ChipConfig
 
@@ -239,25 +238,20 @@ class WavePimCompiler:
         chip_model = PimChip(chip)
         emitted = 0
 
-        use_plan = plan_enabled()
-        use_sched = use_plan and schedule_enabled()
+        use_sched = schedule_enabled()
 
         def run(insts, label):
             nonlocal emitted
             emitted += len(insts)
             with tracer.span(f"compile/{label}", instructions=len(insts)):
                 ex = ChipExecutor(chip_model)
-                if use_plan:
-                    # lower + vectorized replay; bit-identical to serial
-                    # dispatch (REPRO_PLAN=off restores the audit path).
-                    lowered = ex.lower(insts)
-                    if use_sched:
-                        # REPRO_SCHED: makespan-schedule the lowered plan
-                        # (best-of: never worse than emission order).
-                        lowered = schedule_plan(ex, lowered)
-                        ex.reset_clocks()
-                    return ex.run(lowered, functional=False)
-                return ex.run(insts, functional=False, serial=True)
+                lowered = ex.lower(insts)
+                if use_sched:
+                    # REPRO_SCHED: makespan-schedule the lowered plan
+                    # (best-of: never worse than emission order).
+                    lowered = schedule_plan(ex, lowered)
+                    ex.reset_clocks()
+                return ex.run(lowered, functional=False)
 
         # -- lane times from representative streams ----------------------- #
         vol = run(kern.volume(elements=rep), "volume_kernel")

@@ -9,8 +9,9 @@ CI and local runs append to the same time series with the same rules.
 instruction stream is lowered once (:meth:`ChipExecutor.lower`) and the
 timed region is the vectorized replay — the configuration every timestep
 of every figure actually runs after this PR.  ``executor_serial_step_s``
-keeps the per-instruction dispatch number alongside for an honest
-comparison on the same analytic workload.
+keeps the serial audit number (lower, then walk the plan one instruction
+at a time) alongside for an honest comparison on the same analytic
+workload.
 
 History entries may carry ``null`` for rates that were not measured in
 older runs (``cache_hit_rate`` predates PR 1's cache); every consumer here

@@ -27,6 +27,7 @@ __all__ = [
     "float32_mul_nors_serial",
     "OpCosts",
     "HostOpModel",
+    "default_host_model",
     "default_op_costs",
     "MANTISSA_BITS",
     "EXPONENT_BITS",
@@ -201,3 +202,8 @@ class HostOpModel:
 def default_op_costs(device: DeviceParams | None = None) -> OpCosts:
     """The cost table used throughout unless a config overrides the device."""
     return OpCosts(device=device or DEFAULT_DEVICE)
+
+
+def default_host_model(chip_config) -> HostOpModel:
+    """The host CPU of ``chip_config``, drawing its Table 3 host power."""
+    return HostOpModel(power_w=chip_config.power.cpu_host_w)

@@ -18,10 +18,12 @@ contents, which is how the tests prove the PIM-mapped wave kernels compute
 the same numbers as the numpy dG reference.
 
 Every run executes through an :class:`~repro.pim.plan.ExecutionPlan` —
-raw streams are lowered on entry, and functional and fault-injecting runs
-replay the plan bit-identically to per-instruction dispatch (DESIGN.md
-§13).  ``serial=True`` keeps the original per-instruction dispatcher as
-the audit reference the plan path is verified against.
+raw streams are lowered on entry, so every cost comes from
+:func:`~repro.pim.plan.lower_program`.  Fault-free runs replay the plan by
+vectorized segment folds; ``serial=True`` and fault-injecting runs walk
+the same plan one instruction at a time (DESIGN.md §13).  The two walks
+derive compute clocks independently, which is what the serial == plan
+bit-identity sweeps cross-check.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from repro.obs import (
     get_metrics,
     get_tracer,
 )
-from repro.pim.arithmetic import HostOpModel, OpCosts, default_op_costs
+from repro.pim.arithmetic import (
+    HostOpModel,
+    OpCosts,
+    default_host_model,
+    default_op_costs,
+)
 from repro.pim.chip import PimChip
 from repro.pim.isa import ARITHMETIC_OPS, Instruction, Opcode
 from repro.pim.plan import (
@@ -50,24 +57,18 @@ from repro.pim.plan import (
     APPLY_COPY,
     APPLY_COPY_BATCH,
     APPLY_GATHER,
-    COPY_NORS,
     OP_IDS,
     STEP_SEGMENT,
     STEP_TRANSFER,
     ExecutionPlan,
+    copy_cost,
     fold_array,
     lower_program,
 )
 
 __all__ = [
-    "TimingReport", "BlockExecutor", "ChipExecutor", "ExecutionPlan",
-    "tag_phase", "PHASES",
+    "TimingReport", "ChipExecutor", "ExecutionPlan", "tag_phase", "PHASES",
 ]
-
-#: NOR cycles of a row-parallel column-to-column copy (two cascaded NOTs).
-#: Canonical value lives in :mod:`repro.pim.plan`; re-exported here because
-#: the runtime estimator and the fault hooks import it from this module.
-_COPY_NORS = COPY_NORS
 
 #: plan-array opcode ids of the flip-eligible (NOR-based) compute ops.
 _FLIP_OP_IDS = np.array(
@@ -125,25 +126,6 @@ def tag_phase(tag: str) -> str:
     return phase
 
 
-def _fold_add(base: float, value: float, count: int) -> float:
-    """Left-fold ``count`` additions of ``value`` onto ``base``.
-
-    Bit-identical to ``for _ in range(count): base += value`` — IEEE float
-    addition is deterministic and ``np.add.accumulate`` is a strict
-    sequential fold (no pairwise re-association), so grouped accounting
-    can price a whole run of identical instructions in one shot and still
-    match the serial path float-for-float.
-    """
-    if count <= 64:
-        for _ in range(count):
-            base += value
-        return base
-    arr = np.empty(count + 1)
-    arr[0] = base
-    arr[1:] = value
-    return float(np.add.accumulate(arr)[-1])
-
-
 @dataclass
 class TimingReport:
     """Aggregated outcome of one executed instruction stream."""
@@ -198,19 +180,6 @@ class TimingReport:
         self.op_counts[op.value] += 1
         self.dynamic_energy_j += energy
         self.n_instructions += 1
-
-    def add_batch(self, tag: str, op: Opcode, duration: float, energy: float,
-                  count: int) -> None:
-        """Account ``count`` identical instructions in one call.
-
-        Float-identical to ``count`` serial :meth:`add` calls (left-fold
-        accumulation, see :func:`_fold_add`).
-        """
-        self.time_by_tag[tag] = _fold_add(self.time_by_tag[tag], duration, count)
-        self.energy_by_tag[tag] = _fold_add(self.energy_by_tag[tag], energy, count)
-        self.op_counts[op.value] += count
-        self.dynamic_energy_j = _fold_add(self.dynamic_energy_j, energy, count)
-        self.n_instructions += count
 
     def add_overhead(self, tag: str, duration: float, energy: float) -> None:
         """Account recovery work (recomputes, retransmissions, parity upkeep)
@@ -296,7 +265,7 @@ class ChipExecutor:
         #: accounting stays bit-identical to the fault-free executor.
         self.faults = faults
         self.costs = op_costs or default_op_costs(chip.config.device)
-        self.host = host or HostOpModel(power_w=chip.config.power.cpu_host_w)
+        self.host = host or default_host_model(chip.config)
         self._block_clock: dict = defaultdict(float)
         self._switch_free: dict = defaultdict(float)  # (tile, switch) -> time
         #: separate transfer ports: blocks have row *and* column buffers
@@ -369,7 +338,7 @@ class ChipExecutor:
     def lower(self, instructions, verify: bool = False) -> ExecutionPlan:
         """Compile ``instructions`` once into a reusable :class:`ExecutionPlan`.
 
-        The plan precomputes every analytic cost and resolves every TRANSFER
+        The plan prices every instruction and resolves every TRANSFER
         route (once per unique ``(src, dst)`` pair), so replaying it through
         :meth:`run` costs a few vectorized segment reductions plus a
         per-block prefix-max clock advance instead of one Python dispatch
@@ -389,7 +358,7 @@ class ChipExecutor:
                 check_program(instructions, self.chip), what="lowered stream"
             )
         with get_tracer().span("pim/lower", chip=self.chip.config.name) as sp:
-            plan = lower_program(self.chip, self.costs, instructions)
+            plan = lower_program(self.chip, self.costs, instructions, self.host)
             if sp.name:
                 sp.set(
                     n_instructions=plan.n_instructions,
@@ -410,16 +379,16 @@ class ChipExecutor:
         ``instructions`` may be a plain stream or an :class:`ExecutionPlan`
         from :meth:`lower`.  Plan replay is the universal path: raw streams
         are lowered on entry, and analytic, functional *and* fault-injecting
-        runs all replay the plan — bit-identically to per-instruction
-        dispatch (block state, fault event digests and
-        :class:`TimingReport` all match float for float).  A plan lowered
-        before the chip's routes changed (``routing_epoch`` mismatch after
-        spare-block remapping) is transparently re-lowered, never replayed
-        stale.
+        runs all replay the plan.  A plan lowered before the chip's routes
+        changed (``routing_epoch`` mismatch after spare-block remapping) is
+        transparently re-lowered, never replayed stale.
 
-        ``serial=True`` forces the per-instruction dispatch loop — the
-        audit reference the plan path is checked against (PL001–PL004 and
-        the bit-identity test sweep); it is not a performance mode.
+        ``serial=True`` walks the plan one instruction at a time (the walk
+        fault-injecting runs always take) instead of folding compute
+        segments — the audit reference the fast path is checked against
+        (block state, fault event digests and :class:`TimingReport` match
+        float for float); it is not a performance mode.  Functional errors
+        surface per instruction: earlier instructions have executed.
 
         ``verify`` overrides the executor-level flag for this run: when
         true, the static checker passes audit the stream first and a
@@ -443,34 +412,30 @@ class ChipExecutor:
         report = TimingReport()
         faults = self.faults
         faults_on = faults is not None and faults.config.enabled
-        if serial:
-            plan = None
-            mode = "serial"
-        else:
-            if plan is None:
-                plan = self.lower(instructions)
-            elif plan.routing_epoch != self.chip.routing_epoch:
-                # spare-block remapping moved a block since this plan was
-                # lowered: its resolved routes may be stale.  Re-lower
-                # against the current topology rather than replaying them.
-                plan = self.lower(plan.instructions)
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.inc("executor.plan.relowered")
-            mode = "plan"
+        if plan is None:
+            plan = self.lower(instructions)
+        elif plan.routing_epoch != self.chip.routing_epoch:
+            # spare-block remapping moved a block since this plan was
+            # lowered: its resolved routes may be stale.  Re-lower
+            # against the current topology rather than replaying them.
+            plan = self.lower(plan.instructions)
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.inc("executor.plan.relowered")
+        mode = "serial" if serial else "plan"
         counts_before = dict(faults.counts) if faults_on else None
         with get_tracer().span("pim/run", chip=self.chip.config.name,
                                functional=functional, mode=mode) as sp:
-            if plan is not None:
-                self._run_plan(plan, functional, faults_on, report)
+            plan.replays += 1
+            if serial or faults_on:
+                self._walk_plan(plan, functional, faults_on, report)
             else:
-                for inst in instructions:
-                    self._dispatch(inst, functional, report)
+                self._run_plan(plan, functional, report)
             report.total_time_s = self._now()
             report.host_busy_s = self._host_clock
             report.dram_busy_s = self._dram_clock
             report.makespan_cycles = report.total_time_s * self.chip.config.clock_hz
-            if plan is not None and plan.schedule_stats is not None:
+            if plan.schedule_stats is not None:
                 report.emission_makespan_cycles = (
                     plan.schedule_stats["emission_makespan_s"]
                     * self.chip.config.clock_hz
@@ -594,25 +559,20 @@ class ChipExecutor:
     # -- plan replay ------------------------------------------------------- #
 
     def _run_plan(self, plan: ExecutionPlan, functional: bool,
-                  faults_on: bool, report: TimingReport) -> None:
-        """Replay a lowered plan: vectorized accounting, serial semantics.
+                  report: TimingReport) -> None:
+        """Fault-free fast path: vectorized accounting, serial semantics.
 
         Walks the plan's step list instead of the instruction stream.
         Compute segments advance each block's clock by an exact left-fold
-        of precomputed durations from the serial starting point
-        (``_compute_start`` dominates after the first op, see
+        of the plan's durations from the per-instruction walk's starting
+        point (``_compute_start`` dominates after the first op, see
         :mod:`repro.pim.plan`), fold the report accumulators in stream
         order and — when ``functional`` — execute the segment's batched
-        word-level apply program; TRANSFERs run a precomputed fast path;
-        everything that couples multiple clocks (LUT/HOSTOP/DRAM/BARRIER)
-        dispatches through the unchanged serial handlers.  Bit-identical
-        to ``run(plan.instructions, serial=True)``.
+        word-level apply program; TRANSFERs run their precomputed step and
+        LUT/HOSTOP/DRAM/BARRIER their clock-coupling handler.
+        Bit-identical to :meth:`_walk_plan` (``run(..., serial=True)``).
         """
-        plan.replays += 1
         insts = plan.instructions
-        if faults_on:
-            self._run_plan_faulty(plan, functional, report)
-            return
         bc = self._block_clock
         pf = self._port_free
         cnt = self.counters
@@ -620,7 +580,7 @@ class ChipExecutor:
         # front and the hot loop appends only one float per (segment,
         # block) through a bound list.append — the ≤2% enabled-overhead
         # budget lives or dies here (aggregation re-walks plan.steps at
-        # the counters' first read).
+        # the counters' first read, recomputing ends from the same fold).
         if cnt is not None:
             cnt._fold = fold_array
             cnt._seg_kind = STEP_SEGMENT
@@ -641,52 +601,41 @@ class ChipExecutor:
                 report.op_counts.update(payload.op_counts)
                 report.n_instructions += payload.n
                 barrier = self._barrier_time
-                if s_app is None:
-                    for block, durs, _nors, _ops in payload.block_groups:
-                        # defaultdict lookups deliberately mirror
-                        # _compute_start (they insert missing keys, which
-                        # _now() later reads).
-                        start = max(
-                            bc[block], pf[("r", block)], pf[("w", block)],
-                            barrier,
-                        )
-                        bc[block] = fold_array(start, durs)
-                else:
-                    # recording twin of the loop above: the only extra work
-                    # per block is one float append — ends are recomputed
-                    # lazily from the same fold at the counters' first read.
-                    for block, durs, _nors, _ops in payload.block_groups:
-                        start = max(
-                            bc[block], pf[("r", block)], pf[("w", block)],
-                            barrier,
-                        )
-                        bc[block] = fold_array(start, durs)
+                for block, durs, _nors, _ops in payload.block_groups:
+                    # defaultdict lookups deliberately mirror
+                    # _compute_start (they insert missing keys, which
+                    # _now() later reads).
+                    start = max(
+                        bc[block], pf[("r", block)], pf[("w", block)], barrier,
+                    )
+                    bc[block] = fold_array(start, durs)
+                    if s_app is not None:
                         s_app(start)
                 if functional:
                     self._segment_apply(payload, insts)
             elif kind == STEP_TRANSFER:
                 self._transfer_step(payload, functional, report)
             else:  # STEP_DISPATCH
-                self._dispatch(insts[payload], functional, report)
+                self._dispatch(plan, payload, functional, report)
 
-    def _run_plan_faulty(self, plan: ExecutionPlan, functional: bool,
-                         report: TimingReport) -> None:
-        """Fault-mode plan replay: per-instruction, every cost precomputed.
+    def _walk_plan(self, plan: ExecutionPlan, functional: bool,
+                   faults_on: bool, report: TimingReport) -> None:
+        """Per-instruction plan walk: the serial audit and fault-mode replay.
 
-        Fault overheads advance block clocks mid-segment, so segments walk
-        one instruction at a time — but the dispatch if-chain, the cost
-        recomputation and the per-draw RNG round-trips are all gone:
-        durations/energies/NOR counts come from the plan array and the
+        Fault overheads advance block clocks mid-segment, so fault-injecting
+        runs walk segments one instruction at a time — as does
+        ``run(..., serial=True)``, the audit reference for the segment
+        fold.  Durations/energies/NOR counts come from the plan array, each
+        compute op starts at its own :meth:`_compute_start`, and the
         transient-flip stream is pre-drawn vectorized
-        (:meth:`~repro.faults.model.FaultModel.draw_flips`).  Event logs,
-        digests and reports stay bit-identical to serial dispatch.
+        (:meth:`~repro.faults.model.FaultModel.draw_flips`).
         """
         insts = plan.instructions
         arr = plan.array
         durs = arr["dur"]
         energies = arr["energy"]
         nors_col = arr["nors"]
-        flips = self._predraw_flips(plan)
+        flips = self._predraw_flips(plan) if faults_on else None
         cnt = self.counters
         for kind, payload in plan.steps:
             if kind == STEP_SEGMENT:
@@ -694,16 +643,15 @@ class ChipExecutor:
                     inst = insts[i]
                     dur = float(durs[i])
                     energy = float(energies[i])
+                    nors = int(nors_col[i])
                     start = self._compute_start(inst.block)
                     self._block_clock[inst.block] = start + dur
                     if cnt is not None:
-                        cnt.compute(inst.block, start, start + dur,
-                                    int(nors_col[i]))
+                        cnt.compute(inst.block, start, start + dur, nors)
                     if functional:
                         self._apply_functional(inst)
                     report.add(inst.tag, inst.op, dur, energy)
-                    nors = int(nors_col[i])
-                    if nors:
+                    if faults_on and nors:
                         self._apply_compute_faults(
                             inst, functional, report, dur, energy, nors,
                             flips.get(i) if flips is not None else None,
@@ -711,7 +659,7 @@ class ChipExecutor:
             elif kind == STEP_TRANSFER:
                 self._transfer_step(payload, functional, report)
             else:  # STEP_DISPATCH
-                self._dispatch(insts[payload], functional, report)
+                self._dispatch(plan, payload, functional, report)
 
     def _predraw_flips(self, plan: ExecutionPlan):
         """Vector-draw the whole plan's transient flips up front.
@@ -788,7 +736,11 @@ class ChipExecutor:
                 block(b).data[sel, dst] = value
 
     def _apply_functional(self, inst: Instruction) -> None:
-        """Serial functional semantics of one compute op (fault-mode path)."""
+        """Functional semantics of one compute op (per-instruction walk).
+
+        Goes through the validating :class:`MemoryBlock` methods, so a bad
+        instruction raises after every earlier one has executed.
+        """
         op = inst.op
         blk = self.chip.block(inst.block)
         if op in ARITHMETIC_OPS:
@@ -803,12 +755,20 @@ class ChipExecutor:
     def _transfer_step(self, t, functional: bool, report: TimingReport) -> None:
         """TRANSFER with route and latencies precomputed at lower time.
 
-        Replays :meth:`_transfer` exactly — including the fault branch:
-        the retry/backoff arithmetic reuses the precomputed phase
-        latencies with the serial handler's expression order, and
-        functional delivery indexes block state through the precomputed
-        row selectors.  Only the data-dependent readiness ``max``, the
-        switch/port updates and the seeded fault draws happen at run time.
+        Only the data-dependent readiness ``max``, the switch/port updates,
+        the retry/backoff arithmetic over the precomputed phase latencies
+        and the seeded fault draws happen at run time; functional delivery
+        indexes block state through the precomputed row selectors.
+
+        The source/destination ports are busy for the whole transfer.  On
+        the H-tree, switches behave as pipelined FIFO servers: each serves
+        a transfer for one flit train (wormhole cut-through), so disjoint
+        sub-trees — and back-to-back transfers through one switch — overlap
+        (§4.2.1); the gate is a switch's cumulative service load, so a
+        transfer blocked on a port does not head-of-line-block unrelated
+        traffic.  The exclusive Bus holds its switch for the row read and
+        the wire traversal ("only one data path can be enabled", §4.2.2);
+        the destination's write-back overlaps the next arbitration.
         """
         f = self.faults
         fplan = None
@@ -909,28 +869,28 @@ class ChipExecutor:
 
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
+    def _dispatch(self, plan: ExecutionPlan, i: int, functional: bool,
+                  report: TimingReport) -> None:
+        """Replay one clock-coupling row (LUT/HOSTOP/DRAM/BARRIER).
+
+        The row's cost was priced by :func:`~repro.pim.plan.lower_program`;
+        the handlers below own only the clock and port semantics.
+        """
+        inst = plan.instructions[i]
         op = inst.op
-        if op in ARITHMETIC_OPS:
-            self._arith(inst, functional, report)
-        elif op is Opcode.COPY:
-            self._copy(inst, functional, report)
-        elif op is Opcode.GATHER:
-            self._gather(inst, functional, report)
-        elif op is Opcode.BROADCAST:
-            self._broadcast(inst, functional, report)
-        elif op is Opcode.TRANSFER:
-            self._transfer(inst, functional, report)
-        elif op is Opcode.LUT:
-            self._lut(inst, functional, report)
+        if op is Opcode.BARRIER:
+            self._barrier()
+            return
+        row = plan.array[i]
+        dur = float(row["dur"])
+        energy = float(row["energy"])
+        if op is Opcode.LUT:
+            self._lut(inst, dur, energy, int(row["flits"]), int(row["hops"]),
+                      functional, report)
         elif op is Opcode.HOSTOP:
-            self._hostop(inst, report)
-        elif op in (Opcode.DRAM_LOAD, Opcode.DRAM_STORE):
-            self._dram(inst, report)
-        elif op is Opcode.BARRIER:
-            self._barrier(report)
-        else:  # pragma: no cover - exhaustive
-            raise ValueError(f"unhandled opcode {op}")
+            self._hostop(inst, dur, energy, report)
+        else:  # DRAM_LOAD / DRAM_STORE
+            self._dram(inst, dur, energy, report)
 
     # -- fault hooks ------------------------------------------------------- #
 
@@ -941,25 +901,11 @@ class ChipExecutor:
             return rows[0] + offset
         return int(np.asarray(rows)[offset])
 
-    def _compute_faults(self, inst: Instruction, functional: bool,
-                        report: TimingReport, dur: float, energy: float,
-                        nors: int) -> None:
-        """Inject device faults into one NOR-based compute op (arith/COPY).
-
-        Called only when a fault model with non-zero rates is attached.
-        The serial audit path draws the flip here; the plan path pre-draws
-        the whole stream (:meth:`_predraw_flips`) and calls
-        :meth:`_apply_compute_faults` directly — same stream, same order,
-        same outcomes.
-        """
-        flip = self.faults.draw_flip(nors, inst.n_rows)
-        self._apply_compute_faults(inst, functional, report, dur, energy,
-                                   nors, flip)
-
     def _apply_compute_faults(self, inst: Instruction, functional: bool,
                               report: TimingReport, dur: float, energy: float,
                               nors: int, flip) -> None:
-        """Apply one compute op's fault outcomes (flip pre-drawn by caller).
+        """Apply one compute op's fault outcomes (flip pre-drawn by
+        :meth:`_predraw_flips`).
 
         Recovery work (parity upkeep, detect-and-recompute) is charged as
         overhead under the instruction's tag and advances the block clock,
@@ -968,13 +914,12 @@ class ChipExecutor:
         f = self.faults
         cfg = f.config
         f.record_nor(inst.block, nors)
-        overhead = 0.0
-        o_energy = 0.0
         if cfg.protect:
             # parity-row upkeep: one row-parallel copy updates the
             # checksum column after every protected compute op.
-            overhead += _COPY_NORS * self.costs.device.t_nor_s
-            o_energy += _COPY_NORS * 32 * self.costs.device.e_nor_j * inst.n_rows
+            overhead, o_energy = copy_cost(self.costs.device, inst.n_rows)
+        else:
+            overhead = o_energy = 0.0
 
         if flip is not None:
             off, bit = flip
@@ -1037,226 +982,18 @@ class ChipExecutor:
                                       ops=0)
             report.add_overhead(inst.tag, overhead, o_energy)
 
-    # -- individual opcodes ------------------------------------------------ #
+    # -- clock-coupling opcodes ------------------------------------------- #
 
-    def _arith(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
-        dur = self.costs.time_s(inst.op.value)
-        energy = self.costs.energy_j(inst.op.value, active_rows=inst.n_rows)
-        start = self._compute_start(inst.block)
-        self._block_clock[inst.block] = start + dur
-        if self.counters is not None:
-            self.counters.compute(inst.block, start, start + dur,
-                                  self.costs.nor_count(inst.op.value))
-        if functional:
-            blk = self.chip.block(inst.block)
-            getattr(blk, inst.op.value)(inst.rows, inst.dst, inst.src1, inst.src2)
-        report.add(inst.tag, inst.op, dur, energy)
-        if self.faults is not None and self.faults.config.enabled:
-            self._compute_faults(inst, functional, report, dur, energy,
-                                 self.costs.nor_count(inst.op.value))
-
-    def _copy(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
-        dur = _COPY_NORS * self.costs.device.t_nor_s
-        energy = _COPY_NORS * 32 * self.costs.device.e_nor_j * inst.n_rows
-        start = self._compute_start(inst.block)
-        self._block_clock[inst.block] = start + dur
-        if self.counters is not None:
-            self.counters.compute(inst.block, start, start + dur, _COPY_NORS)
-        if functional:
-            self.chip.block(inst.block).copy_column(inst.rows, inst.dst, inst.src1)
-        report.add(inst.tag, inst.op, dur, energy)
-        if self.faults is not None and self.faults.config.enabled:
-            self._compute_faults(inst, functional, report, dur, energy, _COPY_NORS)
-
-    def _gather(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
-        n_unique = inst.n_unique_rows
-        if n_unique is None:  # hand-built instruction: derive on the spot
-            n_unique = len(np.unique(np.asarray(inst.row_map)))
-        dur = self.costs.gather_time_s(n_unique)
-        energy = self.costs.row_move_energy_j(inst.n_rows, words=inst.words)
-        start = self._compute_start(inst.block)
-        self._block_clock[inst.block] = start + dur
-        if self.counters is not None:
-            self.counters.compute(inst.block, start, start + dur)
-        if functional:
-            self.chip.block(inst.block).gather(inst.rows, inst.dst, inst.src1, inst.row_map)
-        report.add(inst.tag, inst.op, dur, energy)
-
-    def _broadcast(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
-        value = np.asarray(inst.value)
-        if value.ndim == 0:
-            # scalar constant: fill the column buffer once, one
-            # column-parallel write through the column drivers.
-            dur = 2 * self.costs.device.t_row_write_s
-        else:
-            # per-row data arrives from outside the block (host/DRAM) and
-            # streams in row by row — the cost Fig. 6 hoists out of the
-            # batch loop by broadcasting constants only once.
-            dur = self.costs.broadcast_time_s(inst.n_rows)
-        energy = self.costs.row_move_energy_j(inst.n_rows, words=inst.words)
-        start = self._compute_start(inst.block)
-        self._block_clock[inst.block] = start + dur
-        if self.counters is not None:
-            self.counters.compute(inst.block, start, start + dur)
-        if functional:
-            self.chip.block(inst.block).broadcast(inst.rows, inst.dst, inst.value)
-        report.add(inst.tag, inst.op, dur, energy)
-
-    def _transfer_path(self, src: int, dst: int):
-        """(occupied switch keys, wire hops) of an inter-block transfer.
-
-        The topology is static, so the path is memoized per (chip, src,
-        dst) on the chip model itself — see :meth:`PimChip.transfer_path`.
-        """
-        keys, hops, extra, _ = self.chip.transfer_path(src, dst)
-        return keys, hops, extra
-
-    def _transfer(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
-        src, dst = inst.src_block, inst.block
-        if src is None:
-            raise ValueError("TRANSFER needs src_block")
-        dev = self.costs.device
-        n_rows = inst.n_rows
-        keys, hops, extra, ic = self.chip.transfer_path(src, dst)
-        flits = -(-(n_rows * inst.words) // ic.flit_words)
-        wire = hops * ic.hop_latency_per_flit * flits + extra
-        read_t = n_rows * dev.t_row_read_s
-        write_t = n_rows * dev.t_row_write_s
-        dur = read_t + wire + write_t
-
-        # interconnect faults: switch failures, dropped/corrupted payloads.
-        plan = None
-        f = self.faults
-        if f is not None and f.config.any_transfer_faults:
-            plan = f.transfer_plan(
-                keys, lambda _tile: ic.n_switches, where=f"transfer:{src}->{dst}"
-            )
-        attempts = 1
-        backoff = 0.0
-        delivered = True
-        if plan is not None:
-            attempts, backoff, delivered = plan.attempts, plan.backoff_s, plan.delivered
-            # every attempt re-reads the row buffer and re-traverses the
-            # wire; only a successful final attempt pays the write-back.
-            dur = attempts * (read_t + wire) + backoff + (write_t if delivered else 0.0)
-
-        # The source/destination ports are busy for the whole transfer.  On
-        # the H-tree, switches are only held during the wire phase
-        # (store-and-forward pipelining: disjoint sub-trees overlap, §4.2.1);
-        # the exclusive Bus holds its switch end-to-end ("only one data path
-        # can be enabled", §4.2.2).
-        exclusive = ic.exclusive
-        flit_train = ic.hop_latency_per_flit * flits
-        # the source's read port and the destination's write port gate the
-        # transfer; compute on either block must also have drained.
-        ready = max(
-            self._port_free[("r", src)],
-            self._port_free[("w", dst)],
-            self._block_clock[src],
-            self._block_clock[dst],
-            self._barrier_time,
-        )
-        ready0 = ready  # port-ready time, before queueing behind switches
-        if exclusive:
-            # "only one data path can be enabled when using the bus
-            # interconnection" (§4.2.2): the switch is held for the row
-            # read and the wire traversal; the destination's write-back
-            # overlaps the next arbitration.
-            for k in keys:
-                ready = max(ready, self._switch_free[k])
-            finish = ready + dur
-            for k in keys:
-                if plan is None:
-                    self._switch_free[k] = ready + read_t + wire
-                else:
-                    self._switch_free[k] = ready + attempts * (read_t + wire) + backoff
-            link_busy = (
-                read_t + wire if plan is None
-                else attempts * (read_t + wire) + backoff
-            )
-        else:
-            # H-tree switches behave as pipelined FIFO servers: each one
-            # serves a transfer for one flit-train (wormhole cut-through),
-            # so disjoint sub-trees — and back-to-back transfers through
-            # the same switch — overlap (§4.2.1).  The gate is the switch's
-            # *cumulative service load*, not the last reservation time:
-            # a transfer that starts late (blocked on a port) does not
-            # head-of-line-block unrelated traffic through the switch.
-            for k in keys:
-                ready = max(ready, self._switch_free[k])
-            finish = ready + dur
-            for k in keys:
-                self._switch_free[k] += flit_train if plan is None else attempts * flit_train
-            link_busy = flit_train if plan is None else attempts * flit_train
-        # the source is free again once the row buffer has drained into the
-        # network; the destination holds its write port to the end.  The
-        # compute clocks are untouched: ordering against arithmetic is
-        # enforced by _compute_start and the ready condition above.
-        if plan is None:
-            self._port_free[("r", src)] = ready + read_t + flit_train
-        else:
-            self._port_free[("r", src)] = (
-                ready + attempts * (read_t + flit_train) + backoff
-            )
-        self._port_free[("w", dst)] = finish
-
-        energy = self.costs.row_move_energy_j(n_rows, words=inst.words)
-        energy += hops * n_rows * inst.words * dev.e_search_j  # switch traversal
-        if plan is not None and attempts > 1:
-            # retransmissions repeat the row reads and switch traversals.
-            energy = attempts * energy
-
-        n_hops = hops if plan is None else hops * attempts
-        n_flits = flits if plan is None else flits * attempts
-        report.transfers += 1
-        report.hops += n_hops
-        report.flits += n_flits
-        report.bytes_moved += n_rows * inst.words * 4
-        if self.counters is not None:
-            self.counters.transfer(
-                keys, ready, link_busy, n_flits, n_hops,
-                n_rows * inst.words * 4, ready - ready0,
-            )
-
-        if plan is not None and not delivered:
-            # undeliverable payload: the destination keeps its stale rows.
-            report.add(inst.tag, inst.op, dur, energy)
-            return
-        if functional:
-            sblk = self.chip.block(src)
-            dblk = self.chip.block(dst)
-            sr = inst.src_rows if inst.src_rows is not None else inst.rows
-            s_sel = slice(sr[0], sr[1]) if isinstance(sr, tuple) else np.asarray(sr)
-            d_sel = (
-                slice(inst.rows[0], inst.rows[1])
-                if isinstance(inst.rows, tuple)
-                else np.asarray(inst.rows)
-            )
-            src_vals = sblk.data[s_sel, inst.src1:inst.src1 + inst.words]
-            if src_vals.shape[0] != n_rows:
-                raise ValueError("TRANSFER src/dst row selections must match in size")
-            dblk.data[d_sel, inst.dst:inst.dst + inst.words] = src_vals
-            if plan is not None and plan.corrupt_payload:
-                # undetected corruption (protection off): one flipped bit
-                # lands in the delivered payload.
-                off, word, bit = f.draw_corrupt_bit(n_rows, inst.words)
-                row = self._abs_row(inst.rows, off)
-                dblk.flip_bit(row, inst.dst + word, bit)
-        report.add(inst.tag, inst.op, dur, energy)
-
-    def _lut(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
+    def _lut(self, inst: Instruction, dur: float, energy: float, flits: int,
+             hops: int, functional: bool, report: TimingReport) -> None:
         """Alg. 1: R_1 (index fetch), R_2 (content fetch), W_1 (write back).
 
         ``inst.block`` is the requester, ``inst.src_block`` the LUT block,
         ``inst.rows`` the row range served (vectorized micro-sequence),
-        ``src1``/``dst`` the Offset_S / Offset_D word columns.
+        ``src1``/``dst`` the Offset_S / Offset_D word columns.  The
+        micro-sequence holds both blocks' ports and its switches end to end.
         """
-        dev = self.costs.device
-        n = inst.n_rows
-        keys, hops, extra, ic = self.chip.transfer_path(inst.src_block, inst.block)
-        hop_lat = ic.hop_latency_per_flit
-        per_row = 2 * dev.t_row_read_s + dev.t_row_write_s + 2 * (hops * hop_lat + extra)
-        dur = n * per_row
+        keys = self.chip.transfer_path(inst.src_block, inst.block)[0]
         ready = max(
             self._compute_start(inst.block), self._compute_start(inst.src_block)
         )
@@ -1268,16 +1005,14 @@ class ChipExecutor:
         self._port_free[("r", inst.src_block)] = finish
         for k in keys:
             self._switch_free[k] = finish
-        energy = n * (2 * dev.e_search_j + 32 * 0.5 * (dev.e_set_j + dev.e_reset_j))
 
         report.transfers += 1
         report.hops += hops
-        report.flits += 2 * n  # index out + entry back, one word each
-        report.bytes_moved += 2 * n * 4
+        report.flits += flits
+        report.bytes_moved += 4 * flits  # one word per flit
         if self.counters is not None:
-            # the LUT micro-sequence holds its switches end-to-end
             self.counters.transfer(
-                keys, ready, dur, 2 * n, hops, 2 * n * 4, ready - ready0
+                keys, ready, dur, flits, hops, 4 * flits, ready - ready0
             )
 
         if functional:
@@ -1289,19 +1024,16 @@ class ChipExecutor:
                 req.data[r, inst.dst] = lut.data[lr, lc]
         report.add(inst.tag, inst.op, dur, energy)
 
-    def _hostop(self, inst: Instruction, report: TimingReport) -> None:
-        dur = self.host.time_s(inst.count)
-        energy = self.host.energy_j(inst.count)
+    def _hostop(self, inst: Instruction, dur: float, energy: float,
+                report: TimingReport) -> None:
         start = max(self._host_clock, self._barrier_time)
         if self.counters is not None:
             self.counters.host(start, start + dur, start - self._host_clock)
         self._host_clock = start + dur
         report.add(inst.tag or "host", inst.op, dur, energy)
 
-    def _dram(self, inst: Instruction, report: TimingReport) -> None:
-        n_bytes = inst.meta.get("bytes", inst.words * 4 * max(inst.n_rows, 1))
-        dur = self.chip.hbm.transfer_time_s(n_bytes)
-        energy = self.chip.hbm.transfer_energy_j(n_bytes)
+    def _dram(self, inst: Instruction, dur: float, energy: float,
+              report: TimingReport) -> None:
         start = max(self._dram_clock, self._barrier_time)
         if inst.block is not None:
             start = max(start, self._block_clock[inst.block])
@@ -1314,7 +1046,7 @@ class ChipExecutor:
             self._block_clock[inst.block] = finish
         report.add(inst.tag or "dram", inst.op, dur, energy)
 
-    def _barrier(self, report: TimingReport) -> None:
+    def _barrier(self) -> None:
         now = self._now()
         for b in list(self._block_clock):
             self._block_clock[b] = now
@@ -1323,8 +1055,3 @@ class ChipExecutor:
         self._host_clock = now
         self._dram_clock = now
         self._barrier_time = now
-
-
-#: Convenience alias: a single-block executor is just a chip executor used
-#: with instructions targeting one block.
-BlockExecutor = ChipExecutor

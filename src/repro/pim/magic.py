@@ -25,7 +25,7 @@ These measured counts are also what the execution-plan engine bakes into
 its per-instruction ``nors`` column at lowering time
 (:func:`repro.pim.plan.lower_program`), so fault-enabled plan replay
 charges NOR wear-out (``FaultModel.record_nor``) with exactly the cycle
-counts the serial audit dispatcher derives from the same netlists.
+counts these netlists measure.
 """
 
 from __future__ import annotations

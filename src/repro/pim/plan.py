@@ -12,21 +12,30 @@ vectorized segment reductions plus a per-block prefix-max clock advance
 instead of thousands of Python dispatches.
 
 Plan replay is the *universal* execution path (DESIGN.md §13): analytic,
-functional and fault-injecting runs all go through it.  Functional
-replay executes each compute segment as a batched word-level program
-against :class:`~repro.pim.block.MemoryBlock` state (built lazily by
-:meth:`_VecSegment.build_apply`, hazard-split so column batching never
-reorders a read past a write).  Fault-injecting replay pre-draws the
-flip stream vectorized (:meth:`~repro.faults.model.FaultModel.draw_flips`
-consumes the seeded generator bit-identically to per-instruction draws)
-and walks segments per instruction with every cost precomputed.  Serial
-dispatch survives only as the audit reference
-(``ChipExecutor.run(..., serial=True)``).
+functional, fault-injecting and serial-audit runs all go through it.
+:func:`lower_program` is the one cost model — every opcode's duration,
+energy, flit and hop footprint is priced here from the device table
+(Table 4 NOR/search/row figures, Alg. 1 for LUT, the host and HBM
+models), and the executor only reads those columns back.  Two walkers
+consume a plan:
+
+* the *segment fold* (fault-free ``ChipExecutor.run``): each compute
+  segment advances a block clock by one left-fold of its durations and,
+  when functional, executes a batched word-level program against
+  :class:`~repro.pim.block.MemoryBlock` state (built lazily by
+  :meth:`_VecSegment.build_apply`, hazard-split so column batching never
+  reorders a read past a write);
+* the *per-instruction walk* (``run(..., serial=True)`` and every
+  fault-injecting run): one ``_compute_start`` and one ``report.add`` per
+  instruction, with the flip stream pre-drawn vectorized
+  (:meth:`~repro.faults.model.FaultModel.draw_flips` consumes the seeded
+  generator bit-identically to per-instruction draws).
 
 Bit-identity contract
 ---------------------
-The plan path must produce a :class:`~repro.pim.executor.TimingReport`
-*bit-identical* to serial dispatch.  Three invariants make that possible:
+The two walkers must produce *bit-identical* reports
+(:class:`~repro.pim.executor.TimingReport`), block states and fault-event
+digests.  Three invariants make that possible:
 
 1. Compute opcodes (ADD/SUB/MUL/COPY/GATHER/BROADCAST) only read the
    block clock, the block's two transfer ports and the barrier floor —
@@ -34,35 +43,31 @@ The plan path must produce a :class:`~repro.pim.executor.TimingReport`
    *coupling* opcodes (TRANSFER/LUT/HOSTOP/DRAM/BARRIER), so inside a
    maximal run of compute ops (a *segment*) each block's clock advances
    by a pure left-fold of durations from ``max(clock, port_r, port_w,
-   barrier)`` — exactly what serial dispatch computes (after the first
-   op the clock already dominates the unchanged port values).
+   barrier)`` — exactly what the per-instruction walk computes (after
+   the first op the clock already dominates the unchanged port values).
 2. Report accumulators (per-tag time/energy, total dynamic energy) are
    independent left-folds over the same addend sequence in stream order;
-   :func:`fold_array` replays the exact serial addition order (mirroring
-   ``executor._fold_add``: a Python loop for short runs, a strict
-   ``np.add.accumulate`` — never pairwise ``np.sum`` — beyond that).
-3. Every per-instruction float (durations, energies, wire latencies) is
-   precomputed at lower time with the *same expression and association
-   order* as the serial opcode handlers, so replay only re-executes the
-   data-dependent ``max``/update logic.
+   :func:`fold_array` replays the exact sequential addition order (a
+   Python loop for short runs, a strict ``np.add.accumulate`` — never
+   pairwise ``np.sum`` — beyond that).
+3. Every per-instruction float is priced once, here, and both walkers
+   read the same plan row — so they can differ only in how they derive
+   compute clocks (segment fold versus per-instruction ``max``), which is
+   exactly what the serial == plan sweeps cross-check.
 
-Coupling opcodes keep their serial handlers: TRANSFER gets a precomputed
-fast-path row (route, flit count, phase latencies *and* the functional
-row selectors resolved at lower time); LUT/HOSTOP/DRAM/BARRIER dispatch
-through the executor unchanged.
+Coupling opcodes are never folded: a TRANSFER becomes a precomputed step
+(route, flit count, phase latencies *and* the functional row selectors
+resolved at lower time); LUT/HOSTOP/DRAM/BARRIER rows are handed to the
+executor's clock-and-port handlers, which read their priced row.
 
 A plan records the chip's ``routing_epoch`` at lower time; if spare-block
 remapping has invalidated the routes since, the executor re-lowers
-instead of replaying stale paths.
-
-The ``REPRO_PLAN`` environment knob (default on; ``off``/``0``/``false``
-disables) gates the compiler's use of the plan path; the scheduler knob
-``REPRO_SCHED`` lives in :mod:`repro.pim.schedule`.
+instead of replaying stale paths.  The scheduler knob ``REPRO_SCHED``
+lives in :mod:`repro.pim.schedule`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import (
     TYPE_CHECKING,
@@ -79,11 +84,13 @@ from typing import (
 
 import numpy as np
 
+from repro.pim.arithmetic import default_host_model
 from repro.pim.isa import ARITHMETIC_OPS, Instruction, Opcode
 
 if TYPE_CHECKING:
-    from repro.pim.arithmetic import OpCosts
+    from repro.pim.arithmetic import HostOpModel, OpCosts
     from repro.pim.chip import PimChip
+    from repro.pim.params import DeviceParams
 
 __all__ = [
     "COPY_NORS",
@@ -93,14 +100,13 @@ __all__ = [
     "STEP_DISPATCH",
     "STEP_SEGMENT",
     "STEP_TRANSFER",
+    "copy_cost",
     "fold_array",
     "lower_program",
-    "plan_enabled",
     "VECTORIZABLE_OPS",
 ]
 
 #: NOR cycles of a row-parallel column-to-column copy (two cascaded NOTs).
-#: Canonical home of the constant the executor re-exports as ``_COPY_NORS``.
 COPY_NORS = 2
 
 #: Opcodes whose timing touches only the owning block's clock — the ones a
@@ -111,10 +117,10 @@ VECTORIZABLE_OPS = frozenset(ARITHMETIC_OPS) | {
 }
 
 #: One row per instruction: opcode id, owning block (-1 when None), interned
-#: tag id, analytic duration/energy (zero for dispatch-handled rows), the
-#: TRANSFER interconnect footprint, and the fault-hook inputs (NOR cycles
-#: of the op — nonzero only for arithmetic/COPY — plus the active row
-#: count the flip/parity models scale with).
+#: tag id, modeled duration/energy (zero for BARRIER), the TRANSFER/LUT
+#: interconnect footprint, and the fault-hook inputs (NOR cycles of the
+#: op — nonzero only for arithmetic/COPY — plus the active row count the
+#: flip/parity models scale with).
 PLAN_DTYPE = np.dtype([
     ("op", np.uint8),
     ("block", np.int32),
@@ -149,18 +155,20 @@ APPLY_BROADCAST = 5
 _APPLY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 
 
-def plan_enabled() -> bool:
-    """The ``REPRO_PLAN`` knob: default on, ``off``/``0``/``false`` disables."""
-    return os.environ.get("REPRO_PLAN", "on").strip().lower() not in (
-        "off", "0", "false", "no",
-    )
+def copy_cost(device: "DeviceParams", n_rows: int) -> Tuple[float, float]:
+    """``(duration, energy)`` of one row-parallel column copy of ``n_rows``.
+
+    Two cascaded NOTs on every active row's 32 bit lines.  Priced here for
+    COPY instructions and reused by the executor's fault hooks for parity
+    upkeep (one checksum-column copy per protected compute op).
+    """
+    return COPY_NORS * device.t_nor_s, COPY_NORS * 32 * device.e_nor_j * n_rows
 
 
 def fold_array(base: float, values: np.ndarray) -> float:
     """Left-fold the additions of ``values`` (in order) onto ``base``.
 
-    Bit-identical to ``for v in values: base += v`` — the generalization of
-    ``executor._fold_add`` to heterogeneous addends.  ``np.add.accumulate``
+    Bit-identical to ``for v in values: base += v``.  ``np.add.accumulate``
     is a strict sequential fold (it must produce every prefix), unlike
     ``np.sum``/``np.add.reduce`` whose pairwise re-association would break
     the bit-identity contract.
@@ -198,7 +206,8 @@ class _VecSegment:
             insts[i].op.value for i in indices
         )
         # group positions by tag / block, preserving first-seen order so the
-        # report dicts are populated in the same key order as serial dispatch
+        # report dicts are populated in the same key order as the
+        # per-instruction walk
         by_tag: Dict[str, List[int]] = {}
         by_block: Dict[Any, List[int]] = {}
         for pos, i in enumerate(indices):
@@ -335,11 +344,10 @@ class _VecSegment:
 class _TransferStep:
     """A TRANSFER with its route and phase latencies resolved at lower time.
 
-    Every float here is computed with the exact expression order of
-    ``ChipExecutor._transfer``; replay re-runs only the readiness ``max``,
-    the switch/port updates and (fault mode) the retry arithmetic.  The
-    functional row selectors are precomputed too, so functional replay
-    indexes block state directly.
+    Every float here is priced once by :func:`_transfer_cost_template`;
+    replay re-runs only the readiness ``max``, the switch/port updates and
+    (fault mode) the retry arithmetic.  The functional row selectors are
+    precomputed too, so functional replay indexes block state directly.
     """
 
     __slots__ = (
@@ -390,9 +398,8 @@ def _transfer_cost_template(chip: "PimChip", costs: "OpCosts", src: int,
     Factored out of :class:`_TransferStep` so :func:`lower_program` can
     memoize it per shape: a halo-heavy lowering emits thousands of
     TRANSFERs that differ only in row selectors, and re-deriving the same
-    floats dominated the compile path (the ``compile_s`` drift satellite).
-    The expressions are byte-for-byte the serial handler's, so memoized
-    and direct construction are bit-identical.
+    floats dominated the compile path.  Memoized and direct construction
+    evaluate the same expressions, so they are bit-identical.
     """
     dev = costs.device
     keys, hops, extra, ic = chip.transfer_path(src, dst)
@@ -411,7 +418,7 @@ def _transfer_cost_template(chip: "PimChip", costs: "OpCosts", src: int,
 class ExecutionPlan:
     """A lowered instruction stream, replayable by ``ChipExecutor.run``.
 
-    Keeps the original ``instructions`` (the serial audit path and the
+    Keeps the original ``instructions`` (the per-instruction walk and the
     re-lowering after a routing-epoch bump both need them) next to the
     structured accounting ``array`` and the ordered ``steps`` the replay
     engine walks.
@@ -457,7 +464,7 @@ class ExecutionPlan:
 
     @property
     def n_dispatch(self) -> int:
-        """Instructions the replay still hands to the serial dispatcher."""
+        """LUT/HOSTOP/DRAM/BARRIER rows handed to the executor's handlers."""
         return sum(1 for kind, _ in self.steps if kind == STEP_DISPATCH)
 
     @property
@@ -480,8 +487,9 @@ class ExecutionPlan:
         ``transfer_time_s`` (left-fold of TRANSFER durations, a ceiling on
         any one link's occupancy) and the vectorization profile
         ``segment_widths`` (instructions per segment, stream order).  LUT/
-        HOSTOP/DRAM/BARRIER go through serial dispatch, so their footprint
-        is reported separately as ``dispatch_ops`` — the perf analyzer
+        HOSTOP/DRAM/BARRIER go through the executor's coupling handlers, so
+        their footprint is reported separately as ``dispatch_ops`` — the
+        perf analyzer
         (:mod:`repro.analysis.perf`) folds their link/channel occupancy in
         from the scheduler's resource items.
         """
@@ -508,7 +516,7 @@ class ExecutionPlan:
                 n_bytes += payload.n_bytes
                 transfer_time += payload.dur
                 # per-link occupancy, exactly as the counters charge it
-                # (executor._transfer's link_busy argument).
+                # (executor._transfer_step's link_busy).
                 occ = (payload.read_t + payload.wire if payload.exclusive
                        else payload.flit_train)
                 for k in payload.keys:
@@ -540,15 +548,22 @@ class ExecutionPlan:
 
 
 def lower_program(
-    chip: "PimChip", costs: "OpCosts", instructions: Iterable[Instruction]
+    chip: "PimChip", costs: "OpCosts", instructions: Iterable[Instruction],
+    host: "Optional[HostOpModel]" = None,
 ) -> ExecutionPlan:
     """Lower ``instructions`` into an :class:`ExecutionPlan` for ``chip``.
 
-    One O(n) Python pass: per-instruction analytic costs are computed with
-    the serial handlers' exact expressions, TRANSFER routes are resolved
-    through the chip's memoized path table (once per unique ``(src, dst)``
-    pair), and maximal compute runs become :class:`_VecSegment` groups.
+    One O(n) Python pass that prices every instruction — the only place
+    the cost model is evaluated: compute ops from ``costs`` (Table 4 NOR,
+    search and row figures), TRANSFER and LUT from the routed path
+    (resolved through the chip's memoized path table, once per unique
+    ``(src, dst)`` pair), HOSTOP from ``host`` (default: the chip's
+    :func:`~repro.pim.arithmetic.default_host_model`) and DRAM from the
+    chip's HBM model.  Maximal compute runs become :class:`_VecSegment`
+    groups.
     """
+    if host is None:
+        host = default_host_model(chip.config)
     insts = list(instructions)
     n = len(insts)
     array = np.zeros(n, dtype=PLAN_DTYPE)
@@ -562,13 +577,17 @@ def lower_program(
     tag_col = array["tag"]
     dur_col = array["dur"]
     energy_col = array["energy"]
+    flits_col = array["flits"]
+    hops_col = array["hops"]
     nors_col = array["nors"]
     n_rows_col = array["n_rows"]
     # per-opcode constants, resolved once per lowering
     arith_dur = {op: costs.time_s(op.value) for op in ARITHMETIC_OPS}
     arith_nors = {op: costs.nor_count(op.value) for op in ARITHMETIC_OPS}
-    copy_dur = COPY_NORS * dev.t_nor_s
-    copy_e_unit = COPY_NORS * 32 * dev.e_nor_j
+    # Alg. 1 per served row: index read + LUT content read (two searches)
+    # and one write back.
+    lut_row_t = 2 * dev.t_row_read_s + dev.t_row_write_s
+    lut_row_e = 2 * dev.e_search_j + 32 * 0.5 * (dev.e_set_j + dev.e_reset_j)
 
     def flush(end: int) -> None:
         nonlocal seg_start
@@ -585,15 +604,13 @@ def lower_program(
             tid = tag_ids[inst.tag] = len(tag_ids)
         tag_col[i] = tid
         if op in VECTORIZABLE_OPS:
-            # exact serial-handler cost expressions (see executor._arith &c.)
             n_rows = inst.n_rows
             if op in ARITHMETIC_OPS:
                 dur = arith_dur[op]
                 energy = costs.energy_j(op.value, active_rows=n_rows)
                 nors_col[i] = arith_nors[op]
             elif op is Opcode.COPY:
-                dur = copy_dur
-                energy = copy_e_unit * n_rows
+                dur, energy = copy_cost(dev, n_rows)
                 nors_col[i] = COPY_NORS
             elif op is Opcode.GATHER:
                 n_unique = inst.n_unique_rows
@@ -603,8 +620,13 @@ def lower_program(
                 energy = costs.row_move_energy_j(n_rows, words=inst.words)
             else:  # BROADCAST
                 if np.asarray(inst.value).ndim == 0:
+                    # scalar constant: fill the column buffer once, one
+                    # column-parallel write through the column drivers.
                     dur = 2 * dev.t_row_write_s
                 else:
+                    # per-row data streams in from outside the block row by
+                    # row — the cost Fig. 6 hoists out of the batch loop by
+                    # broadcasting constants only once.
                     dur = costs.broadcast_time_s(n_rows)
                 energy = costs.row_move_energy_j(n_rows, words=inst.words)
             dur_col[i] = dur
@@ -626,15 +648,30 @@ def lower_program(
             t = _TransferStep(inst, chip, costs, template=tpl)
             dur_col[i] = t.dur
             energy_col[i] = t.energy
-            array["flits"][i] = t.flits
-            array["hops"][i] = t.hops
+            flits_col[i] = t.flits
+            hops_col[i] = t.hops
             n_rows_col[i] = t.n_rows
             steps.append((STEP_TRANSFER, t))
-        else:
-            # LUT/HOSTOP/DRAM_*/BARRIER couple multiple clocks: replay
-            # through the serial handlers, which stay the single source of
-            # truth for their semantics.
-            steps.append((STEP_DISPATCH, i))
+            continue
+        # LUT/HOSTOP/DRAM_*/BARRIER couple multiple clocks: the executor's
+        # handlers replay their clock and port semantics from this row.
+        if op is Opcode.LUT:
+            _keys, hops, extra, ic = chip.transfer_path(inst.src_block, inst.block)
+            n_rows = inst.n_rows
+            dur_col[i] = n_rows * (
+                lut_row_t + 2 * (hops * ic.hop_latency_per_flit + extra)
+            )
+            energy_col[i] = n_rows * lut_row_e
+            flits_col[i] = 2 * n_rows  # index out + entry back, one word each
+            hops_col[i] = hops
+        elif op is Opcode.HOSTOP:
+            dur_col[i] = host.time_s(inst.count)
+            energy_col[i] = host.energy_j(inst.count)
+        elif op in (Opcode.DRAM_LOAD, Opcode.DRAM_STORE):
+            n_bytes = inst.meta.get("bytes", inst.words * 4 * max(inst.n_rows, 1))
+            dur_col[i] = chip.hbm.transfer_time_s(n_bytes)
+            energy_col[i] = chip.hbm.transfer_energy_j(n_bytes)
+        steps.append((STEP_DISPATCH, i))
     flush(n)
 
     tags = list(tag_ids)

@@ -448,26 +448,16 @@ def sim_items(ex: "ChipExecutor", plan: ExecutionPlan) -> List[Item]:
         elif op is Opcode.BARRIER:
             items.append(("b",))
         elif op is Opcode.HOSTOP:
-            items.append(("h", ex.host.time_s(inst.count)))
+            items.append(("h", float(durs[i])))
         elif op in (Opcode.DRAM_LOAD, Opcode.DRAM_STORE):
-            n_bytes = inst.meta.get("bytes", inst.words * 4 * max(inst.n_rows, 1))
-            items.append(("d", ex.chip.hbm.transfer_time_s(n_bytes), inst.block))
+            items.append(("d", float(durs[i]), inst.block))
         elif op is Opcode.LUT:
-            dev = ex.costs.device
-            keys, hops, extra, ic = ex.chip.transfer_path(inst.src_block, inst.block)
-            per_row = (
-                2 * dev.t_row_read_s + dev.t_row_write_s
-                + 2 * (hops * ic.hop_latency_per_flit + extra)
-            )
-            items.append(("l", inst.n_rows * per_row, inst.block,
-                          inst.src_block, tuple(keys)))
+            keys = ex.chip.transfer_path(inst.src_block, inst.block)[0]
+            items.append(("l", float(durs[i]), inst.block, inst.src_block,
+                          tuple(keys)))
         else:
             items.append(("c", inst.block, float(durs[i])))
     return items
-
-
-#: backward-compatible private alias (pre-§15 callers/tests).
-_sim_items = sim_items
 
 
 def _item_durations(items: Sequence[Item]) -> List[float]:
@@ -839,7 +829,8 @@ def schedule_plan(ex: "ChipExecutor", plan: ExecutionPlan) -> ExecutionPlan:
             raise RuntimeError(
                 "illegal schedule: " + "; ".join(violations[:3])
             )
-        sched = lower_program(ex.chip, ex.costs, [insts[i] for i in order])
+        sched = lower_program(ex.chip, ex.costs, [insts[i] for i in order],
+                              ex.host)
         sched_s = _replay_makespan(ex, sched)
         if sched_s < emission_s:
             stats["scheduled_makespan_s"] = sched_s

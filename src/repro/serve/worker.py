@@ -157,34 +157,7 @@ def _run_sweep(params: dict, job_id: str, workdir: Path, beat,
     h = hashlib.sha256()
     for r in items:
         h.update(r["digest"].encode())
-    out = {"digest": h.hexdigest()[:16], "items": items}
-    shards = int(params.get("shards") or 0)
-    if shards > 1:
-        # a sweep may request multi-chip sharding (shards=N): attach the
-        # deterministic partition plan for the sweep's mesh level so the
-        # result records how the job would shard.  Pure partition
-        # arithmetic — the digest chain above is untouched, keeping
-        # resumed/uninterrupted bit-identity intact.
-        out["sharding"] = _shard_plan(int(base.get("level", 1)), shards)
-        beat()
-    return out
-
-
-def _shard_plan(level: int, n_shards: int) -> dict:
-    """Partition summary for a sweep requesting ``shards=N``."""
-    from repro.dg import HexMesh
-    from repro.pim.multichip import partition_mesh
-
-    mesh = HexMesh.from_refinement_level(level)
-    n_shards = min(n_shards, mesh.n_elements)
-    sharding = partition_mesh(mesh, n_shards)
-    return {
-        "level": level,
-        "n_shards": n_shards,
-        "owned": [len(o) for o in sharding.owned],
-        "halo": [len(h) for h in sharding.halo],
-        "exchange_pairs": len(sharding.exchanges),
-    }
+    return {"digest": h.hexdigest()[:16], "items": items}
 
 
 def _run_test_flaky(params: dict, attempt: int) -> dict:

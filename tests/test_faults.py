@@ -245,6 +245,32 @@ class TestFlips:
         assert rep1.faults_uncorrected == m.counts["uncorrected"]
         assert not np.array_equal(chip1.block(0).data, chip0.block(0).data)
 
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_draw_flips_equals_sequential_draw_flip(self, seed):
+        """The vectorized batch draw consumes the flip stream exactly like
+        one scalar ``draw_flip`` per instruction, its reference."""
+        rate = 2e-5
+        rng = np.random.default_rng(seed + 100)
+        nors = rng.integers(2, 400, size=300)
+        n_rows = rng.integers(1, 513, size=300)
+        batch = FaultModel(FaultConfig(flip_rate=rate, seed=seed))
+        scalar = FaultModel(FaultConfig(flip_rate=rate, seed=seed))
+        # the exact per-instruction probability draw_flip evaluates
+        base = math.log1p(-min(rate, 0.5))
+        ps = np.array([-math.expm1(base * int(c) * int(r))
+                       for c, r in zip(nors, n_rows)])
+        got = batch.draw_flips(ps, n_rows)
+        want = {}
+        for k, (c, r) in enumerate(zip(nors, n_rows)):
+            flip = scalar.draw_flip(int(c), int(r))
+            if flip is not None:
+                want[k] = flip
+        assert 0 < len(want) < len(nors)  # both hits and misses exercised
+        assert got == want
+        # both generators end at the same stream position
+        assert batch.draw_flip(100, 64) == scalar.draw_flip(100, 64)
+        assert batch._flip_rng.random() == scalar._flip_rng.random()
+
 
 # --------------------------------------------------------------------- #
 # stuck cells + spare-block remap

@@ -2,10 +2,10 @@
 
 The contract under test (DESIGN.md §13): *every* ``ChipExecutor.run`` —
 analytic, functional, and fault-injecting — replays a lowered
-:class:`~repro.pim.plan.ExecutionPlan`; the per-instruction serial
-dispatcher survives only as the audit reference behind
-``run(..., serial=True)``.  Plan replay must be *bit-identical* to that
-reference on every paper benchmark: same :class:`TimingReport` (totals,
+:class:`~repro.pim.plan.ExecutionPlan`; ``run(..., serial=True)`` walks
+the same plan one instruction at a time as the audit reference.  The
+vectorized segment fold must be *bit-identical* to that reference on
+every paper benchmark: same :class:`TimingReport` (totals,
 phase split, interconnect accounting, dict key order), same block states
 after functional execution, same fault-event digests under a seeded fault
 model.  Plans transparently re-lower when the chip's routing epoch moves,
@@ -24,7 +24,7 @@ from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor, ExecutionPlan
 from repro.pim.isa import Opcode
 from repro.pim.params import CHIP_CONFIGS
-from repro.pim.plan import fold_array, lower_program, plan_enabled
+from repro.pim.plan import fold_array, lower_program
 from repro.workloads.benchmarks import BENCHMARKS
 
 
@@ -224,32 +224,6 @@ class TestUniversalPath:
         assert m.value("executor.serial.runs") == serial0 + 1
         assert m.value("executor.plan.runs") == plan0
 
-    def test_repro_plan_knob(self, monkeypatch):
-        for off in ("off", "0", "false", "no", " OFF "):
-            monkeypatch.setenv("REPRO_PLAN", off)
-            assert not plan_enabled()
-        for on in ("on", "1", "yes", ""):
-            monkeypatch.setenv("REPRO_PLAN", on)
-            assert plan_enabled()
-        monkeypatch.delenv("REPRO_PLAN")
-        assert plan_enabled()
-
-    def test_compiler_honours_knob(self, monkeypatch, tmp_path):
-        """REPRO_PLAN=off restores the serial audit path, bit-identically."""
-        from repro.core.cache import CompileCache
-        from repro.core.compiler import WavePimCompiler
-
-        def compile_once():
-            return WavePimCompiler(order=2).compile(
-                "acoustic", 2, CHIP_CONFIGS["512MB"],
-                cache=CompileCache(tmp_path / "c", enabled=False),
-            )
-
-        with_plan = compile_once()
-        monkeypatch.setenv("REPRO_PLAN", "off")
-        without = compile_once()
-        assert with_plan.stage_times == without.stage_times
-
 
 class TestStaleRoutes:
     """Satellite 1: a routing-epoch bump must never replay stale paths."""
@@ -420,7 +394,7 @@ class TestScheduler:
 
 
 class TestFoldArray:
-    """fold_array is the plan-side twin of the executor's _fold_add."""
+    """fold_array is a strict sequential left-fold, bit for bit."""
 
     def test_matches_sequential_left_fold(self):
         rng = np.random.default_rng(3)
@@ -437,7 +411,8 @@ class TestFoldArray:
 
 
 class TestLintRules:
-    """The repo lint rejects dispatch loops (RL004) and _dispatch leaks (RL005)."""
+    """The repo lint rejects dispatch loops (RL004), _dispatch leaks (RL005)
+    and plan-walker call sites outside the executors (RL008)."""
 
     @staticmethod
     def _lint(tmp_path, rel, source):
@@ -491,6 +466,13 @@ class TestLintRules:
                            "def f(ex, inst):\n"
                            "    return ex._dispatch(inst, True, None)\n")
         assert "RL005" not in codes
+
+    @pytest.mark.parametrize("attr", ["_run_plan", "_walk_plan"])
+    def test_flags_plan_walker_reference_outside_executors(self, tmp_path, attr):
+        src = f"def f(ex, plan, rep):\n    ex.{attr}(plan, False, rep)\n"
+        assert "RL008" in self._lint(tmp_path, "src/repro/core/bad.py", src)
+        assert "RL008" not in self._lint(tmp_path, "src/repro/pim/executor.py", src)
+        assert "RL008" not in self._lint(tmp_path, "src/repro/pim/multichip.py", src)
 
     def test_flags_silent_broad_except(self, tmp_path):
         codes = self._lint(tmp_path, "src/repro/core/bad.py",
