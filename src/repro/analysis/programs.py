@@ -68,15 +68,6 @@ def _resolve_chip(chip: Union[str, ChipConfig], interconnect: Optional[str]) -> 
     return chip
 
 
-def _storage_row0(kern: Any) -> Optional[int]:
-    """Storage-region boundary from whichever layout the kernels carry."""
-    for attr in ("layout", "lay_v", "lay3"):
-        lay = getattr(kern, attr, None)
-        if lay is not None:
-            return int(lay.storage0)
-    return None
-
-
 def build_check_program(
     physics: str,
     refinement_level: int,
@@ -127,7 +118,7 @@ def build_check_program(
         context = CheckContext.for_chip(
             PimChip(chip),
             allowed_blocks=kern.mapper.n_blocks_needed,
-            storage0=_storage_row0(kern),
+            storage0=kern.layout.storage0,
             parity_rows=parity_rows,
         )
     return CheckedProgram(

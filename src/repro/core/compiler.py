@@ -26,6 +26,7 @@ from repro.core.batching import batch_dram_traffic
 from repro.core.cache import compile_fingerprint
 from repro.obs import get_logger, get_metrics, get_tracer
 from repro.core.kernels.acoustic import AcousticFourBlockKernels, AcousticOneBlockKernels
+from repro.core.kernels.base import is_fetch
 from repro.core.kernels.elastic import ElasticFourBlockKernels
 from repro.core.mapper import ElementMapper
 from repro.core.pipeline import StageTimes
@@ -35,7 +36,6 @@ from repro.dg.mesh import HexMesh
 from repro.dg.reference_element import ReferenceElement
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor
-from repro.pim.isa import Opcode
 from repro.pim.schedule import schedule_enabled, schedule_plan
 from repro.pim.params import ChipConfig
 
@@ -101,13 +101,6 @@ class WavePimCompiler:
                 return AcousticOneBlockKernels(mesh, element, material, mapper, flux_kind)
             return AcousticFourBlockKernels(mesh, element, material, mapper, flux_kind)
         material = ElasticMaterial.homogeneous(mesh.n_elements)
-        if mapper.g == 12:
-            # E_r&E_p: nine variable blocks + three buffers; the kernel
-            # streams are the 4-block ones re-spread, which divides the
-            # arithmetic lanes by ~3 — modeled by a parallelism factor in
-            # compile() rather than a third generator.
-            mapper = ElementMapper(mesh.m, mapper.chip, 4, elements=mapper.elements)
-            return ElasticFourBlockKernels(mesh, element, material, mapper, flux_kind)
         return ElasticFourBlockKernels(mesh, element, material, mapper, flux_kind)
 
     @staticmethod
@@ -150,9 +143,7 @@ class WavePimCompiler:
 
         The front half of a compile, shared with the static checker
         (:mod:`repro.analysis.programs`), which audits the same streams the
-        costing pass prices.  Note the returned kernels' mapper may differ
-        from the returned ``mapper`` (the g=12 elastic plan re-spreads onto
-        4 blocks); address-level consumers must use ``kern.mapper``.
+        costing pass prices.
         """
         tracer = get_tracer()
         with tracer.span("compile/plan"):
@@ -164,6 +155,9 @@ class WavePimCompiler:
             if not plan.batched
             else np.arange(plan.elements_per_batch)
         )
+        # E_r&E_p (g=12: nine variable blocks + three buffers) reuses the
+        # 4-block elastic streams; compile() divides their arithmetic lanes
+        # by a parallelism factor rather than emitting a third generator.
         g = 4 if plan.blocks_per_element == 12 else plan.blocks_per_element
         with tracer.span("compile/kernels", plan=plan.label):
             mapper = ElementMapper(mesh.m, chip, g, elements=batch_elements)
@@ -260,7 +254,7 @@ class WavePimCompiler:
         def sans_fetch(insts):
             """Compute lane: the flux stream with its fetches stripped
             (they are scheduled on their own Fig. 13 lane)."""
-            return [i for i in insts if not (i.op is Opcode.TRANSFER and "fetch" in i.tag)]
+            return [i for i in insts if not is_fetch(i)]
 
         flux_m_c = run(sans_fetch(kern.flux(faces=MINUS_FACES, elements=rep)),
                        "flux_minus_kernel")
@@ -335,4 +329,4 @@ class WavePimCompiler:
     def _fetch_only(kern, faces, elements):
         """The TRANSFER sub-stream of the flux kernel for a set of elements."""
         insts = kern.flux(faces=faces, elements=elements)
-        return [i for i in insts if i.op is Opcode.TRANSFER and "fetch" in i.tag]
+        return [i for i in insts if is_fetch(i)]

@@ -10,9 +10,11 @@ solver), timing/energy estimation, and operation counting (Table 6).
 
 from repro.core.kernels.acoustic import AcousticOneBlockKernels, AcousticFourBlockKernels
 from repro.core.kernels.elastic import ElasticFourBlockKernels
+from repro.core.kernels.maxwell import MaxwellOneBlockKernels
 
 __all__ = [
     "AcousticOneBlockKernels",
     "AcousticFourBlockKernels",
     "ElasticFourBlockKernels",
+    "MaxwellOneBlockKernels",
 ]

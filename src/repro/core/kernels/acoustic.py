@@ -22,7 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.base import KernelBase, face_sign_axis
+from repro.core.kernels.base import (
+    COMPUTE_TAG,
+    FETCH_TAG,
+    INTRA_TAG,
+    VOLUME_SYNC_TAG,
+    VOLUME_TAG,
+    KernelBase,
+    face_sign_axis,
+)
 from repro.core.layout import ElementLayout
 from repro.core.mapper import ElementMapper
 from repro.dg.materials import AcousticMaterial
@@ -71,6 +79,16 @@ def acoustic_flux_coefficients(
     return out
 
 
+def _correction(k: KernelBase, b, fr, riemann, main, other) -> list:
+    """``r_t1 = c[main] * d_main (+ c[other] * d_other)`` on face rows; each
+    operand is a ``(coefficient index, jump register)`` pair."""
+    insts = [k._arith(Opcode.MUL, b, fr, k.r_t1, k.r_c + main[0], main[1], COMPUTE_TAG)]
+    if riemann:
+        insts.append(k._arith(Opcode.MUL, b, fr, k.r_t2, k.r_c + other[0], other[1], COMPUTE_TAG))
+        insts.append(k._arith(Opcode.ADD, b, fr, k.r_t1, k.r_t1, k.r_t2, COMPUTE_TAG))
+    return insts
+
+
 class AcousticOneBlockKernels(KernelBase):
     """Naive mapping: one element per memory block."""
 
@@ -104,119 +122,55 @@ class AcousticOneBlockKernels(KernelBase):
         self.r_t2 = s.alloc()
         # integration constants A_s, dt, B_s reuse the flux-coefficient
         # registers -- Integration and Flux never overlap inside a block.
-        self.r_ic = self.r_c
+        self.r_lsrk = (self.r_c, self.r_c + 1, self.r_c + 2)
 
     # ------------------------------------------------------------------ #
-    # setup: constants + state  (Fig. 6 step 1 / Fig. 5 storage space)
+    # setup: constants  (Fig. 6 step 1 / Fig. 5 storage space); state
+    # load and read-back are KernelBase's one-block defaults
     # ------------------------------------------------------------------ #
 
     def setup(self, elements=None) -> list:
         """Broadcast constants into every element block (executed once)."""
         lay = self.layout
-        d = self.element.diff_1d
+        # mass inverse (used by source injection / diagnostics)
+        minv = 1.0 / (self.element.node_weights * (self.mesh.h / 2.0) ** 3)
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             b = self.mapper.block_of(e)
-            insts.append(
-                Instruction(Opcode.DRAM_LOAD, block=b, tag="setup",
-                            meta={"bytes": lay.n_nodes * 4 * 8})
-            )
-            # dshape into storage rows (column a holds D[:, a])
-            rows = (lay.row_dshape0, lay.row_dshape0 + lay.npts)
-            for a in range(lay.npts):
-                insts.append(self._bcast(b, rows, a, d[:, a], "setup"))
+            insts += self._setup_preamble(b, lay)
             # per-element Volume constants, broadcast to the compute rows
             ck = -self.material.kappa[e] * self.dscale
             cr = -self.dscale / self.material.rho[e]
             insts.append(self._bcast(b, lay.compute_rows, lay.col_econst[0], float(ck), "setup"))
             insts.append(self._bcast(b, lay.compute_rows, lay.col_econst[1], float(cr), "setup"))
-            # mass inverse (used by source injection / diagnostics)
-            minv = 1.0 / (self.element.node_weights * (self.mesh.h / 2.0) ** 3)
             insts.append(self._bcast(b, lay.compute_rows, lay.col_mass, minv, "setup"))
             # host-precomputed flux coefficients into the six storage rows
             for face in range(6):
-                row = (lay.row_flux0 + face, lay.row_flux0 + face + 1)
-                for c in range(4):
-                    insts.append(
-                        self._bcast(b, row, c, float(self.flux_coeffs[e, face, c]), "setup")
-                    )
+                insts += self._flux_row_constants(b, lay, face, self.flux_coeffs[e, face])
         return insts
-
-    def load_state(self, state: np.ndarray, elements=None) -> list:
-        """Write a ``(4, K, n_nodes)`` state into the variable columns."""
-        lay = self.layout
-        insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            b = self.mapper.block_of(e)
-            insts.append(
-                Instruction(Opcode.DRAM_LOAD, block=b, tag="load",
-                            meta={"bytes": lay.n_nodes * 4 * self.n_vars})
-            )
-            for i, v in enumerate(_VARS):
-                insts.append(
-                    self._bcast(b, lay.compute_rows, lay.col_var[v],
-                                state[i, e].astype(np.float32), "load")
-                )
-        return insts
-
-    def read_state(self, chip, elements=None) -> np.ndarray:
-        """Host-side read-back of the full state."""
-        lay = self.layout
-        out = np.zeros((self.n_vars, self.mesh.n_elements, lay.n_nodes), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            blk = chip.block(self.mapper.block_of(e))
-            for i, v in enumerate(_VARS):
-                out[i, e] = blk.data[: lay.n_nodes, lay.col_var[v]]
-        return out
-
-    def read_contributions(self, chip, elements=None) -> np.ndarray:
-        lay = self.layout
-        out = np.zeros((self.n_vars, self.mesh.n_elements, lay.n_nodes), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            blk = chip.block(self.mapper.block_of(e))
-            for i, v in enumerate(_VARS):
-                out[i, e] = blk.data[: lay.n_nodes, lay.col_contrib[v]]
-        return out
 
     # ------------------------------------------------------------------ #
     # Volume (Fig. 5 left timeline)
     # ------------------------------------------------------------------ #
 
-    def _derivative_chain(self, b, axis, var_col, acc_col, accumulate, tag):
-        """Emit the tap/coeff gather + multiply-accumulate dot product."""
-        lay = self.layout
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            first = (a == 0) and not accumulate
-            dst = acc_col if first else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if not first:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
-    def volume(self, tag: str = "volume", elements=None) -> list:
+    def volume(self, elements=None) -> list:
         """contrib_p = c_kappa * div(v); contrib_v = c_invrho * grad(p)."""
         lay = self.layout
         rows = lay.compute_rows
+        tag = VOLUME_TAG
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             b = self.mapper.block_of(e)
             # div v into r_acc (accumulates across the three axes)
             for axis, v in enumerate(("vx", "vy", "vz")):
                 insts += self._derivative_chain(
-                    b, axis, lay.col_var[v], self.r_acc, accumulate=axis > 0, tag=tag
+                    b, lay, axis, lay.col_var[v], self.r_acc, tag, accumulate=axis > 0
                 )
             insts.append(self._arith(
                 Opcode.MUL, b, rows, lay.col_contrib["p"], self.r_acc, lay.col_econst[0], tag))
             # grad p, one axis at a time, straight into the contributions
             for axis, v in enumerate(("vx", "vy", "vz")):
-                insts += self._derivative_chain(
-                    b, axis, lay.col_var["p"], self.r_acc, accumulate=False, tag=tag
-                )
+                insts += self._derivative_chain(b, lay, axis, lay.col_var["p"], self.r_acc, tag)
                 insts.append(self._arith(
                     Opcode.MUL, b, rows, lay.col_contrib[v], self.r_acc, lay.col_econst[1], tag))
         return insts
@@ -225,12 +179,13 @@ class AcousticOneBlockKernels(KernelBase):
     # Flux
     # ------------------------------------------------------------------ #
 
-    def flux(self, faces=range(6), fetch_tag="flux:fetch", compute_tag="flux:compute", elements=None) -> list:
+    def flux(self, faces=range(6), elements=None) -> list:
         """Neighbor reconciliation for the given faces (default all six)."""
         lay = self.layout
         riemann = self.flux_kind != "central"
+        tag = COMPUTE_TAG
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             b = self.mapper.block_of(e)
             for face in faces:
                 fr = self.face_rows(face)
@@ -242,82 +197,38 @@ class AcousticOneBlockKernels(KernelBase):
                 nb = self.mapper.block_of(nbr)
                 # 1. fetch the neighbor's 4 variables at its matching face
                 insts.append(self._transfer(
-                    b, nb, fr, nfr, self.r_nb, lay.col_var["p"], 4, fetch_tag))
+                    b, nb, fr, nfr, self.r_nb, lay.col_var["p"], 4, FETCH_TAG))
                 # 2. flux coefficients from the face's storage row
                 cmap = lay.face_row_map(fr, lay.row_flux0 + face)
                 used = (0, 1, 2, 3) if riemann else (0, 2)
                 for c in used:
-                    insts.append(self._gather(b, fr, self.r_c + c, c, cmap, compute_tag))
+                    insts.append(self._gather(b, fr, self.r_c + c, c, cmap, tag))
                 # 3. differences
                 insts.append(self._arith(
-                    Opcode.SUB, b, fr, self.r_dp, lay.col_var["p"], self.r_nb, compute_tag))
+                    Opcode.SUB, b, fr, self.r_dp, lay.col_var["p"], self.r_nb, tag))
                 vax = lay.col_var[_VARS[1 + axis]]
                 insts.append(self._arith(
-                    Opcode.SUB, b, fr, self.r_dv, vax, self.r_nb + 1 + axis, compute_tag))
+                    Opcode.SUB, b, fr, self.r_dv, vax, self.r_nb + 1 + axis, tag))
                 # 4. pressure correction: c1*dv (+ c2*dp)
-                insts.append(self._arith(
-                    Opcode.MUL, b, fr, self.r_t1, self.r_c + 0, self.r_dv, compute_tag))
-                if riemann:
-                    insts.append(self._arith(
-                        Opcode.MUL, b, fr, self.r_t2, self.r_c + 1, self.r_dp, compute_tag))
-                    insts.append(self._arith(
-                        Opcode.ADD, b, fr, self.r_t1, self.r_t1, self.r_t2, compute_tag))
+                insts += _correction(self, b, fr, riemann, (0, self.r_dv), (1, self.r_dp))
                 cp = lay.col_contrib["p"]
-                insts.append(self._arith(Opcode.ADD, b, fr, cp, cp, self.r_t1, compute_tag))
+                insts.append(self._arith(Opcode.ADD, b, fr, cp, cp, self.r_t1, tag))
                 # 5. axis-velocity correction: c3*dp (+ c4*dv)
-                insts.append(self._arith(
-                    Opcode.MUL, b, fr, self.r_t1, self.r_c + 2, self.r_dp, compute_tag))
-                if riemann:
-                    insts.append(self._arith(
-                        Opcode.MUL, b, fr, self.r_t2, self.r_c + 3, self.r_dv, compute_tag))
-                    insts.append(self._arith(
-                        Opcode.ADD, b, fr, self.r_t1, self.r_t1, self.r_t2, compute_tag))
+                insts += _correction(self, b, fr, riemann, (2, self.r_dp), (3, self.r_dv))
                 cv = lay.col_contrib[_VARS[1 + axis]]
-                insts.append(self._arith(Opcode.ADD, b, fr, cv, cv, self.r_t1, compute_tag))
+                insts.append(self._arith(Opcode.ADD, b, fr, cv, cv, self.r_t1, tag))
         return insts
 
     # ------------------------------------------------------------------ #
     # Integration (one LSRK stage)
     # ------------------------------------------------------------------ #
 
-    def integration(self, stage: int, dt: float, tag: str = "integration", elements=None) -> list:
+    def integration(self, stage: int, dt: float, elements=None) -> list:
         """aux = A_s aux + dt*contrib ; var += B_s aux — for all variables."""
-        lay = self.layout
-        rows = lay.compute_rows
-        a_s = float(self.rk.A[stage])
-        b_s = float(self.rk.B[stage])
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            b = self.mapper.block_of(e)
-            insts.append(self._bcast(b, rows, self.r_ic + 0, a_s, tag))
-            insts.append(self._bcast(b, rows, self.r_ic + 1, float(dt), tag))
-            insts.append(self._bcast(b, rows, self.r_ic + 2, b_s, tag))
-            for v in _VARS:
-                aux, contrib, var = lay.col_aux[v], lay.col_contrib[v], lay.col_var[v]
-                insts.append(self._arith(Opcode.MUL, b, rows, aux, aux, self.r_ic + 0, tag))
-                insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, contrib, self.r_ic + 1, tag))
-                insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
-                insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, self.r_ic + 2, tag))
-                insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    # ------------------------------------------------------------------ #
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        """One full LSRK stage: Volume, Flux, Integration + barriers."""
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        """The paper's five integration steps per time-step."""
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
+        for e in self._elements(elements):
+            insts += self._lsrk_update(
+                self.mapper.block_of(e), self.layout, _VARS, stage, dt, self.r_lsrk)
         return insts
 
 
@@ -325,7 +236,8 @@ class AcousticFourBlockKernels(KernelBase):
     """Expanded mapping (E_p): p + one block per velocity axis (Figs. 8/9).
 
     Part assignment: parts 0..2 host ``vx, vy, vz``; part 3 hosts ``p``
-    and doubles as the neighbor-data buffer of Fig. 9.
+    and doubles as the neighbor-data buffer of Fig. 9.  ``layout`` is the
+    axis blocks' single-variable layout, ``lay_p`` the pressure block's.
     """
 
     n_vars = 4
@@ -343,14 +255,14 @@ class AcousticFourBlockKernels(KernelBase):
         if mapper.g != 4:
             raise ValueError(f"four-block kernels need blocks_per_element=4, got {mapper.g}")
         self.material = material
-        self.lay_v = ElementLayout(element.order, variables=("v",))
+        self.layout = ElementLayout(element.order, variables=("v",))
         self.lay_p = ElementLayout(element.order, variables=("p",))
         self.flux_coeffs = acoustic_flux_coefficients(material, mesh, self.lift, flux_kind)
         # scratch registers (same offsets valid in both layouts: the single-
         # variable layouts are identical column-wise)
-        for lay in (self.lay_v, self.lay_p):
+        for lay in (self.layout, self.lay_p):
             lay.scratch.free_all()
-        s = self.lay_v.scratch
+        s = self.layout.scratch
         self.r_tap = s.alloc()
         self.r_coeff = s.alloc()
         self.r_tmp = s.alloc()
@@ -365,7 +277,8 @@ class AcousticFourBlockKernels(KernelBase):
         self.r_c = s.alloc(4)
         self.r_t1 = s.alloc()
         self.r_t2 = s.alloc()
-        self.r_ic = s.alloc(3)
+        r_ic = s.alloc(3)
+        self.r_lsrk = (r_ic, r_ic + 1, r_ic + 2)
 
     # -- placement helpers -------------------------------------------------- #
 
@@ -375,93 +288,63 @@ class AcousticFourBlockKernels(KernelBase):
     def pblock(self, e: int) -> int:
         return self.mapper.block_of(e, self.P_PART)
 
+    def _part(self, part: int) -> tuple[ElementLayout, str]:
+        """(layout, variable name) of one part block."""
+        return (self.lay_p, "p") if part == self.P_PART else (self.layout, "v")
+
     # ------------------------------------------------------------------ #
 
     def setup(self, elements=None) -> list:
-        d = self.element.diff_1d
         insts = []
         minv = 1.0 / (self.element.node_weights * (self.mesh.h / 2.0) ** 3)
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             ck = -self.material.kappa[e] * self.dscale
             cr = -self.dscale / self.material.rho[e]
             for part in range(4):
-                lay = self.lay_p if part == self.P_PART else self.lay_v
+                lay, _ = self._part(part)
                 b = self.mapper.block_of(e, part)
-                insts.append(Instruction(Opcode.DRAM_LOAD, block=b, tag="setup",
-                                         meta={"bytes": lay.n_nodes * 4 * 8}))
-                rows = (lay.row_dshape0, lay.row_dshape0 + lay.npts)
-                for a in range(lay.npts):
-                    insts.append(self._bcast(b, rows, a, d[:, a], "setup"))
+                insts += self._setup_preamble(b, lay)
                 const = ck if part == self.P_PART else cr
                 insts.append(self._bcast(b, lay.compute_rows, lay.col_econst[0], float(const), "setup"))
                 insts.append(self._bcast(b, lay.compute_rows, lay.col_mass, minv, "setup"))
                 for face in range(6):
-                    row = (lay.row_flux0 + face, lay.row_flux0 + face + 1)
-                    for c in range(4):
-                        insts.append(self._bcast(
-                            b, row, c, float(self.flux_coeffs[e, face, c]), "setup"))
+                    insts += self._flux_row_constants(b, lay, face, self.flux_coeffs[e, face])
         return insts
 
     def load_state(self, state: np.ndarray, elements=None) -> list:
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             for part in range(4):
-                lay = self.lay_p if part == self.P_PART else self.lay_v
+                lay, v = self._part(part)
                 b = self.mapper.block_of(e, part)
                 var = state[0, e] if part == self.P_PART else state[1 + part, e]
                 insts.append(Instruction(Opcode.DRAM_LOAD, block=b, tag="load",
                                          meta={"bytes": lay.n_nodes * 4}))
-                col = lay.col_var["p" if part == self.P_PART else "v"]
-                insts.append(self._bcast(b, lay.compute_rows, col, var.astype(np.float32), "load"))
+                insts.append(self._bcast(
+                    b, lay.compute_rows, lay.col_var[v], var.astype(np.float32), "load"))
         return insts
 
-    def read_state(self, chip, elements=None) -> np.ndarray:
-        nn = self.lay_v.n_nodes
-        out = np.zeros((4, self.mesh.n_elements, nn), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            out[0, e] = chip.block(self.pblock(e)).data[:nn, self.lay_p.col_var["p"]]
-            for axis in range(3):
-                out[1 + axis, e] = chip.block(self.vblock(e, axis)).data[
-                    :nn, self.lay_v.col_var["v"]]
-        return out
-
-    def read_contributions(self, chip, elements=None) -> np.ndarray:
-        nn = self.lay_v.n_nodes
-        out = np.zeros((4, self.mesh.n_elements, nn), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            out[0, e] = chip.block(self.pblock(e)).data[:nn, self.lay_p.col_contrib["p"]]
-            for axis in range(3):
-                out[1 + axis, e] = chip.block(self.vblock(e, axis)).data[
-                    :nn, self.lay_v.col_contrib["v"]]
-        return out
+    def var_slots(self, e: int) -> list:
+        lv, lp = self.layout, self.lay_p
+        return [(self.pblock(e), lp.col_var["p"], lp.col_contrib["p"])] + [
+            (self.vblock(e, axis), lv.col_var["v"], lv.col_contrib["v"]) for axis in range(3)
+        ]
 
     # ------------------------------------------------------------------ #
 
-    def _derivative_chain(self, b, lay, axis, var_col, acc_col, tag):
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            dst = acc_col if a == 0 else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if a != 0:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
-    def volume(self, tag: str = "volume", elements=None) -> list:
+    def volume(self, elements=None) -> list:
         """Fig. 8: per-axis derivative chains + div partial-sum exchange."""
-        lv, lp = self.lay_v, self.lay_p
+        lv, lp = self.layout, self.lay_p
         rows = lv.compute_rows
+        tag = VOLUME_TAG
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             pb = self.pblock(e)
             # broadcast p to the axis blocks (the Fig. 8 data duplication)
             for axis in range(3):
                 vb = self.vblock(e, axis)
                 insts.append(self._transfer(
-                    vb, pb, rows, rows, self.r_pcopy, lp.col_var["p"], 1, f"{tag}:sync"))
+                    vb, pb, rows, rows, self.r_pcopy, lp.col_var["p"], 1, VOLUME_SYNC_TAG))
             for axis in range(3):
                 vb = self.vblock(e, axis)
                 # grad p along my axis -> my contribution
@@ -472,7 +355,7 @@ class AcousticFourBlockKernels(KernelBase):
                 insts += self._derivative_chain(vb, lv, axis, lv.col_var["v"], self.r_acc, tag)
                 # ship the partial sum to the p block (Fig. 8 inter-block memcpy)
                 insts.append(self._transfer(
-                    pb, vb, rows, rows, self.r_div + axis, self.r_acc, 1, f"{tag}:sync"))
+                    pb, vb, rows, rows, self.r_div + axis, self.r_acc, 1, VOLUME_SYNC_TAG))
             # p block: combine the three partials
             insts.append(self._arith(
                 Opcode.ADD, pb, rows, self.r_acc, self.r_div + 0, self.r_div + 1, tag))
@@ -482,12 +365,13 @@ class AcousticFourBlockKernels(KernelBase):
                 Opcode.MUL, pb, rows, lp.col_contrib["p"], self.r_acc, lp.col_econst[0], tag))
         return insts
 
-    def flux(self, faces=range(6), fetch_tag="flux:fetch", compute_tag="flux:compute", elements=None) -> list:
+    def flux(self, faces=range(6), elements=None) -> list:
         """Fig. 9: buffer in part 3, compute per axis, return p corrections."""
-        lv, lp = self.lay_v, self.lay_p
+        lv, lp = self.layout, self.lay_p
         riemann = self.flux_kind != "central"
+        tag = COMPUTE_TAG
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             pb = self.pblock(e)
             for face in faces:
                 fr = self.face_rows(face)
@@ -499,82 +383,43 @@ class AcousticFourBlockKernels(KernelBase):
                 vb = self.vblock(e, axis)
                 # 1. inter-element fetches into the buffer block (part 3)
                 insts.append(self._transfer(
-                    pb, self.pblock(nbr), fr, nfr, self.r_nb_p, lp.col_var["p"], 1, fetch_tag))
+                    pb, self.pblock(nbr), fr, nfr, self.r_nb_p, lp.col_var["p"], 1, FETCH_TAG))
                 insts.append(self._transfer(
                     pb, self.vblock(nbr, axis), fr, nfr, self.r_nb_v, lv.col_var["v"], 1,
-                    fetch_tag))
+                    FETCH_TAG))
                 # 2. short intra-quad distribution to the axis block
                 insts.append(self._transfer(
-                    vb, pb, fr, fr, self.r_nb_p, self.r_nb_p, 1, f"{fetch_tag}:intra"))
+                    vb, pb, fr, fr, self.r_nb_p, self.r_nb_p, 1, INTRA_TAG))
                 insts.append(self._transfer(
-                    vb, pb, fr, fr, self.r_nb_v, self.r_nb_v, 1, f"{fetch_tag}:intra"))
+                    vb, pb, fr, fr, self.r_nb_v, self.r_nb_v, 1, INTRA_TAG))
                 insts.append(self._transfer(
-                    vb, pb, fr, fr, self.r_pcopy, lp.col_var["p"], 1, f"{fetch_tag}:intra"))
+                    vb, pb, fr, fr, self.r_pcopy, lp.col_var["p"], 1, INTRA_TAG))
                 # 3. axis block computes both corrections
                 cmap = lv.face_row_map(fr, lv.row_flux0 + face)
                 used = (0, 1, 2, 3) if riemann else (0, 2)
                 for c in used:
-                    insts.append(self._gather(vb, fr, self.r_c + c, c, cmap, compute_tag))
+                    insts.append(self._gather(vb, fr, self.r_c + c, c, cmap, tag))
                 insts.append(self._arith(
-                    Opcode.SUB, vb, fr, self.r_dp, self.r_pcopy, self.r_nb_p, compute_tag))
+                    Opcode.SUB, vb, fr, self.r_dp, self.r_pcopy, self.r_nb_p, tag))
                 insts.append(self._arith(
-                    Opcode.SUB, vb, fr, self.r_dv, lv.col_var["v"], self.r_nb_v, compute_tag))
+                    Opcode.SUB, vb, fr, self.r_dv, lv.col_var["v"], self.r_nb_v, tag))
                 # velocity correction (kept local)
-                insts.append(self._arith(
-                    Opcode.MUL, vb, fr, self.r_t1, self.r_c + 2, self.r_dp, compute_tag))
-                if riemann:
-                    insts.append(self._arith(
-                        Opcode.MUL, vb, fr, self.r_t2, self.r_c + 3, self.r_dv, compute_tag))
-                    insts.append(self._arith(
-                        Opcode.ADD, vb, fr, self.r_t1, self.r_t1, self.r_t2, compute_tag))
+                insts += _correction(self, vb, fr, riemann, (2, self.r_dp), (3, self.r_dv))
                 cv = lv.col_contrib["v"]
-                insts.append(self._arith(Opcode.ADD, vb, fr, cv, cv, self.r_t1, compute_tag))
+                insts.append(self._arith(Opcode.ADD, vb, fr, cv, cv, self.r_t1, tag))
                 # pressure correction, then returned to the p block
-                insts.append(self._arith(
-                    Opcode.MUL, vb, fr, self.r_t1, self.r_c + 0, self.r_dv, compute_tag))
-                if riemann:
-                    insts.append(self._arith(
-                        Opcode.MUL, vb, fr, self.r_t2, self.r_c + 1, self.r_dp, compute_tag))
-                    insts.append(self._arith(
-                        Opcode.ADD, vb, fr, self.r_t1, self.r_t1, self.r_t2, compute_tag))
+                insts += _correction(self, vb, fr, riemann, (0, self.r_dv), (1, self.r_dp))
                 insts.append(self._transfer(
-                    pb, vb, fr, fr, self.r_t1, self.r_t1, 1, f"{fetch_tag}:intra"))
+                    pb, vb, fr, fr, self.r_t1, self.r_t1, 1, INTRA_TAG))
                 cp = lp.col_contrib["p"]
-                insts.append(self._arith(Opcode.ADD, pb, fr, cp, cp, self.r_t1, compute_tag))
+                insts.append(self._arith(Opcode.ADD, pb, fr, cp, cp, self.r_t1, tag))
         return insts
 
-    def integration(self, stage: int, dt: float, tag: str = "integration", elements=None) -> list:
-        a_s, b_s = float(self.rk.A[stage]), float(self.rk.B[stage])
+    def integration(self, stage: int, dt: float, elements=None) -> list:
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
+        for e in self._elements(elements):
             for part in range(4):
-                lay = self.lay_p if part == self.P_PART else self.lay_v
-                v = "p" if part == self.P_PART else "v"
-                b = self.mapper.block_of(e, part)
-                rows = lay.compute_rows
-                insts.append(self._bcast(b, rows, self.r_ic + 0, a_s, tag))
-                insts.append(self._bcast(b, rows, self.r_ic + 1, float(dt), tag))
-                insts.append(self._bcast(b, rows, self.r_ic + 2, b_s, tag))
-                aux, contrib, var = lay.col_aux[v], lay.col_contrib[v], lay.col_var[v]
-                insts.append(self._arith(Opcode.MUL, b, rows, aux, aux, self.r_ic + 0, tag))
-                insts.append(self._arith(
-                    Opcode.MUL, b, rows, self.r_tmp, contrib, self.r_ic + 1, tag))
-                insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
-                insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, self.r_ic + 2, tag))
-                insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
+                lay, v = self._part(part)
+                insts += self._lsrk_update(
+                    self.mapper.block_of(e, part), lay, (v,), stage, dt, self.r_lsrk)
         return insts

@@ -1,6 +1,18 @@
-"""Shared infrastructure for kernel generators."""
+"""Shared emission for the kernel generators.
+
+Every mapping follows the same Fig. 5 timeline — Volume, a BARRIER, Flux,
+a BARRIER, Integration, five LSRK stages per time-step — and differs only
+in where variables live and in its flux arithmetic.  :class:`KernelBase`
+therefore owns everything else, once: the stage skeleton
+(:meth:`~KernelBase.rk_stage`/:meth:`~KernelBase.time_step`), the
+tap/coefficient derivative chain, the LSRK ``aux``/``var`` update, the
+setup preamble, state load and read-back, and the cost-attribution tags,
+including :func:`is_fetch`, the one definition of the Fig. 13 fetch lane.
+"""
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -9,9 +21,26 @@ from repro.core.mapper import ElementMapper
 from repro.dg.mesh import HexMesh
 from repro.dg.reference_element import FACE_NORMALS, ReferenceElement, opposite_face
 from repro.dg.timestepping import LSRK45
-from repro.pim.isa import Instruction, Opcode
+from repro.pim.isa import Instruction, Opcode, barrier
 
-__all__ = ["KernelBase", "face_sign_axis"]
+__all__ = [
+    "KernelBase", "face_sign_axis", "is_fetch",
+    "VOLUME_TAG", "VOLUME_SYNC_TAG", "FETCH_TAG", "INTRA_TAG", "COMPUTE_TAG",
+    "INTEGRATION_TAG",
+]
+
+#: cost-attribution tags of the Fig. 5 phases (Figs. 13/14 group by prefix)
+VOLUME_TAG = "volume"
+VOLUME_SYNC_TAG = "volume:sync"  # inter-block copies inside Volume (Fig. 8)
+FETCH_TAG = "flux:fetch"  # neighbor data into the element (Fig. 13 fetch lane)
+INTRA_TAG = "flux:fetch:intra"  # short intra-quad moves of a multi-block element
+COMPUTE_TAG = "flux:compute"
+INTEGRATION_TAG = "integration"
+
+
+def is_fetch(inst: Instruction) -> bool:
+    """True for the flux TRANSFERs scheduled on the Fig. 13 fetch lane."""
+    return inst.op is Opcode.TRANSFER and inst.tag.startswith(FETCH_TAG)
 
 
 _FACE_SIGN_AXIS: dict = {}
@@ -29,11 +58,17 @@ def face_sign_axis(face: int) -> tuple[float, int]:
 
 
 class KernelBase:
-    """Common state and emit helpers for the per-physics kernel builders.
+    """Common state and emission for the per-physics kernel builders.
 
-    Subclasses own the flux coefficient tables (host-precomputed, §4.3)
-    and the per-kernel instruction emitters.
+    Subclasses set ``layout`` (their canonical :class:`ElementLayout`),
+    ``n_vars`` and the scratch registers ``r_tap``/``r_coeff``/``r_tmp``,
+    and implement ``setup`` plus ``volume``/``flux``/``integration`` from
+    the helpers below.  :meth:`load_state` and :meth:`var_slots` default to
+    one element per block; multi-block mappings override both.
     """
+
+    layout: ElementLayout
+    n_vars: int
 
     def __init__(
         self,
@@ -50,6 +85,121 @@ class KernelBase:
         self.dscale = 2.0 / mesh.h
         self.lift = self.dscale / element.w_end
         self.rk = LSRK45(rhs=None)
+
+    def _elements(self, elements: Iterable | None) -> Iterator[int]:
+        """The requested elements (default: every mapped one) as ints."""
+        for e in (self.mapper.elements if elements is None else elements):
+            yield int(e)
+
+    # -- the Fig. 5 stage skeleton ------------------------------------------ #
+
+    def rk_stage(self, stage: int, dt: float) -> list:
+        """One LSRK stage: Volume, Flux, Integration, each closed by a BARRIER."""
+        insts = self.volume()
+        insts.append(barrier())
+        insts += self.flux()
+        insts.append(barrier())
+        insts += self.integration(stage, dt)
+        insts.append(barrier())
+        return insts
+
+    def time_step(self, dt: float) -> list:
+        """The paper's five integration steps per time-step."""
+        insts = []
+        for s in range(5):
+            insts += self.rk_stage(s, dt)
+        return insts
+
+    # -- shared kernel pieces ------------------------------------------------ #
+
+    def _setup_preamble(self, b: int, lay: ElementLayout) -> list:
+        """The constants' DRAM load and the dshape broadcast into the
+        storage rows (column ``a`` holds ``D[:, a]``)."""
+        d = self.element.diff_1d
+        insts = [Instruction(Opcode.DRAM_LOAD, block=b, tag="setup",
+                             meta={"bytes": lay.n_nodes * 4 * 8})]
+        rows = (lay.row_dshape0, lay.row_dshape0 + lay.npts)
+        for a in range(lay.npts):
+            insts.append(self._bcast(b, rows, a, d[:, a], "setup"))
+        return insts
+
+    def _flux_row_constants(self, b: int, lay: ElementLayout, face: int, values) -> list:
+        """Host-precomputed per-face constants into the face's storage row."""
+        row = (lay.row_flux0 + face, lay.row_flux0 + face + 1)
+        return [self._bcast(b, row, c, float(v), "setup") for c, v in enumerate(values)]
+
+    def _derivative_chain(self, b, lay, axis, var_col, acc_col, tag, accumulate=False):
+        """Tap/coefficient gathers + multiply-accumulate dot product:
+        ``acc = D_axis var`` (``acc += D_axis var`` when ``accumulate``)."""
+        rows = lay.compute_rows
+        insts = []
+        dmap = lay.dshape_row_map(axis)
+        for a in range(lay.npts):
+            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
+            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
+            first = a == 0 and not accumulate
+            dst = acc_col if first else self.r_tmp
+            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
+            if not first:
+                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
+        return insts
+
+    def _lsrk_update(self, b, lay, names, stage, dt, regs):
+        """``aux = A_s aux + dt*contrib ; var += B_s aux`` for the ``names``
+        variables of one block; ``regs`` holds ``(A_s, dt, B_s)``."""
+        rows = lay.compute_rows
+        tag = INTEGRATION_TAG
+        r_a, r_dt, r_b = regs
+        insts = [
+            self._bcast(b, rows, r_a, float(self.rk.A[stage]), tag),
+            self._bcast(b, rows, r_dt, float(dt), tag),
+            self._bcast(b, rows, r_b, float(self.rk.B[stage]), tag),
+        ]
+        for v in names:
+            aux, contrib, var = lay.col_aux[v], lay.col_contrib[v], lay.col_var[v]
+            insts.append(self._arith(Opcode.MUL, b, rows, aux, aux, r_a, tag))
+            insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, contrib, r_dt, tag))
+            insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
+            insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, r_b, tag))
+            insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
+        return insts
+
+    # -- state in and out ---------------------------------------------------- #
+
+    def load_state(self, state: np.ndarray, elements=None) -> list:
+        """Write a ``(n_vars, K, n_nodes)`` state into the variable columns:
+        one DRAM load per element block, then a broadcast per variable."""
+        lay = self.layout
+        insts = []
+        for e in self._elements(elements):
+            insts.append(Instruction(Opcode.DRAM_LOAD, block=self.mapper.block_of(e), tag="load",
+                                     meta={"bytes": lay.n_nodes * 4 * self.n_vars}))
+            for i, (b, col, _) in enumerate(self.var_slots(e)):
+                insts.append(self._bcast(
+                    b, lay.compute_rows, col, state[i, e].astype(np.float32), "load"))
+        return insts
+
+    def var_slots(self, e: int) -> list[tuple[int, int, int]]:
+        """``(block, variable column, contribution column)`` of each of
+        element ``e``'s state variables, in state order (one-block default)."""
+        lay, b = self.layout, self.mapper.block_of(e)
+        return [(b, lay.col_var[v], lay.col_contrib[v]) for v in lay.variables]
+
+    def _read_back(self, chip, elements, which: int) -> np.ndarray:
+        nn = self.layout.n_nodes
+        out = np.zeros((self.n_vars, self.mesh.n_elements, nn), dtype=np.float32)
+        for e in self._elements(elements):
+            for i, slot in enumerate(self.var_slots(e)):
+                out[i, e] = chip.block(slot[0]).data[:nn, slot[which]]
+        return out
+
+    def read_state(self, chip, elements=None) -> np.ndarray:
+        """Host-side read-back of the ``(n_vars, K, n_nodes)`` state."""
+        return self._read_back(chip, elements, 1)
+
+    def read_contributions(self, chip, elements=None) -> np.ndarray:
+        """Host-side read-back of the right-hand-side contributions."""
+        return self._read_back(chip, elements, 2)
 
     # -- emit helpers ---------------------------------------------------- #
 

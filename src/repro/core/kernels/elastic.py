@@ -40,7 +40,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.base import KernelBase, face_sign_axis
+from repro.core.kernels.base import (
+    COMPUTE_TAG,
+    FETCH_TAG,
+    INTRA_TAG,
+    VOLUME_SYNC_TAG,
+    VOLUME_TAG,
+    KernelBase,
+    face_sign_axis,
+)
 from repro.core.layout import ElementLayout
 from repro.core.mapper import ElementMapper
 from repro.dg.elastic import VOIGT
@@ -137,7 +145,7 @@ class ElasticFourBlockKernels(KernelBase):
         if mapper.g != 4:
             raise ValueError(f"elastic E_r needs blocks_per_element=4, got {mapper.g}")
         self.material = material
-        self.lay3 = ElementLayout(element.order, variables=self._ABC)
+        self.layout = ElementLayout(element.order, variables=self._ABC)
         if flux_kind == "central":
             self.flux_coeffs = np.broadcast_to(
                 CENTRAL_COEFFS, (mesh.n_elements, 6, 8)
@@ -150,7 +158,7 @@ class ElasticFourBlockKernels(KernelBase):
         # block) deliberately ALIAS the volume registers (live on the V and
         # stress blocks); only r_tmp / r_c / r_t are shared across roles,
         # which the barrier-separated kernel phases make safe.
-        s0 = self.lay3.scratch0
+        s0 = self.layout.scratch0
         # volume registers (V / S blocks)
         self.r_tap = s0 + 0
         self.r_coeff = s0 + 3
@@ -168,7 +176,8 @@ class ElasticFourBlockKernels(KernelBase):
         # shared temporaries (every block)
         self.r_c = s0 + 15  # 2 cols: coefficient gathers
         self.r_t = s0 + 17  # 2 cols: temporaries / outgoing corrections
-        assert s0 + 19 <= self.lay3.row_words
+        assert s0 + 19 <= self.layout.row_words
+        self.r_lsrk = (self.r_c, self.r_c + 1, self.r_t)  # B_s rides in r_t
 
     # -- placement -------------------------------------------------------- #
 
@@ -176,7 +185,7 @@ class ElasticFourBlockKernels(KernelBase):
         """(part, local column) hosting ``var``."""
         for part, group in ((self.S1, S1_VARS), (self.S2, S2_VARS), (self.V, V_VARS)):
             if var in group:
-                return part, self.lay3.col_var[self._ABC[group.index(var)]]
+                return part, self.layout.col_var[self._ABC[group.index(var)]]
         raise KeyError(var)
 
     def block_of_var(self, e: int, var: str) -> tuple[int, int]:
@@ -185,7 +194,7 @@ class ElasticFourBlockKernels(KernelBase):
 
     def _contrib_col(self, var: str) -> int:
         _, col = self.part_of(var)
-        return self.lay3.col_contrib[self._ABC[col - 1]]
+        return self.layout.col_contrib[self._ABC[col - 1]]
 
     # ------------------------------------------------------------------ #
 
@@ -198,21 +207,15 @@ class ElasticFourBlockKernels(KernelBase):
         storage rows carry, per face: the eight star coefficients, then
         ``lift*lam``, ``lift*mu`` and ``lift*s/rho``.
         """
-        lay = self.lay3
-        d = self.element.diff_1d
+        lay = self.layout
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             lam = self.material.lam[e]
             mu = self.material.mu[e]
             inv_rho = 1.0 / self.material.rho[e]
             for part in range(4):
                 b = self.mapper.block_of(e, part)
-                insts.append(Instruction(Opcode.DRAM_LOAD, block=b, tag="setup",
-                                         meta={"bytes": lay.n_nodes * 4 * 8}))
-                rows = (lay.row_dshape0, lay.row_dshape0 + lay.npts)
-                for a in range(lay.npts):
-                    insts.append(self._bcast(b, rows, a, d[:, a], "setup"))
+                insts += self._setup_preamble(b, lay)
                 c0 = lam * self.dscale if part in (self.S1, self.S2) else inv_rho * self.dscale
                 c1 = mu * self.dscale
                 insts.append(self._bcast(
@@ -225,25 +228,17 @@ class ElasticFourBlockKernels(KernelBase):
             bb = self.mapper.block_of(e, self.B)
             for face in range(6):
                 sign, _ = face_sign_axis(face)
-                row = (lay.row_flux0 + face, lay.row_flux0 + face + 1)
-                for c in range(8):
-                    insts.append(self._bcast(
-                        bb, row, c, float(self.flux_coeffs[e, face, c]), "setup"))
-                insts.append(self._bcast(bb, row, 8, float(self.lift * lam), "setup"))
-                insts.append(self._bcast(bb, row, 9, float(self.lift * mu), "setup"))
-                insts.append(self._bcast(
-                    bb, row, 10, float(self.lift * inv_rho * sign), "setup"))
+                insts += self._flux_row_constants(bb, lay, face, (
+                    *self.flux_coeffs[e, face],
+                    self.lift * lam, self.lift * mu, self.lift * inv_rho * sign))
         return insts
 
     def load_state(self, state: np.ndarray, elements=None) -> list:
         """Write a ``(9, K, n_nodes)`` state into the variable blocks."""
-        lay = self.lay3
-        order = VOIGT_NAMES + V_VARS
+        lay = self.layout
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            for i, var in enumerate(order):
-                b, col = self.block_of_var(e, var)
+        for e in self._elements(elements):
+            for i, (b, col, _) in enumerate(self.var_slots(e)):
                 insts.append(self._bcast(
                     b, lay.compute_rows, col, state[i, e].astype(np.float32), "load"))
             for part in range(3):
@@ -252,59 +247,27 @@ class ElasticFourBlockKernels(KernelBase):
                     meta={"bytes": lay.n_nodes * 4 * 3}))
         return insts
 
-    def read_state(self, chip, elements=None) -> np.ndarray:
-        nn = self.lay3.n_nodes
-        order = VOIGT_NAMES + V_VARS
-        out = np.zeros((9, self.mesh.n_elements, nn), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            for i, var in enumerate(order):
-                b, col = self.block_of_var(e, var)
-                out[i, e] = chip.block(b).data[:nn, col]
-        return out
-
-    def read_contributions(self, chip, elements=None) -> np.ndarray:
-        nn = self.lay3.n_nodes
-        order = VOIGT_NAMES + V_VARS
-        out = np.zeros((9, self.mesh.n_elements, nn), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            for i, var in enumerate(order):
-                b, _ = self.block_of_var(e, var)
-                out[i, e] = chip.block(b).data[:nn, self._contrib_col(var)]
-        return out
+    def var_slots(self, e: int) -> list:
+        return [(*self.block_of_var(e, var), self._contrib_col(var))
+                for var in VOIGT_NAMES + V_VARS]
 
     # ------------------------------------------------------------------ #
     # Volume
     # ------------------------------------------------------------------ #
 
-    def _derivative_chain(self, b, axis, var_col, acc_col, tag):
-        lay = self.lay3
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            dst = acc_col if a == 0 else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if a != 0:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
-    def volume(self, tag: str = "volume", elements=None) -> list:
+    def volume(self, elements=None) -> list:
         """Nine dv chains + six stress combos (V) and nine dsigma chains."""
-        lay = self.lay3
+        lay = self.layout
         rows = lay.compute_rows
+        tag = VOLUME_TAG
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             vb = self.mapper.block_of(e, self.V)
             s_blocks = {v: self.block_of_var(e, v) for v in VOIGT_NAMES}
             # --- V block: exactly nine dv_i/dx_j chains, combined per Voigt.
             for i in range(3):
                 insts += self._derivative_chain(
-                    vb, i, lay.col_var[self._ABC[i]], self.r_grad + i, tag)
+                    vb, lay, i, lay.col_var[self._ABC[i]], self.r_grad + i, tag)
             insts.append(self._arith(
                 Opcode.ADD, vb, rows, self.r_acc, self.r_grad + 0, self.r_grad + 1, tag))
             insts.append(self._arith(
@@ -324,9 +287,9 @@ class ElasticFourBlockKernels(KernelBase):
                 else:
                     # sigma_ij contribution = mu_ds * (dv_i/dx_j + dv_j/dx_i)
                     insts += self._derivative_chain(
-                        vb, vj, lay.col_var[self._ABC[vi]], self.r_part + 0, tag)
+                        vb, lay, vj, lay.col_var[self._ABC[vi]], self.r_part + 0, tag)
                     insts += self._derivative_chain(
-                        vb, vi, lay.col_var[self._ABC[vj]], self.r_part + 1, tag)
+                        vb, lay, vi, lay.col_var[self._ABC[vj]], self.r_part + 1, tag)
                     insts.append(self._arith(
                         Opcode.ADD, vb, rows, self.r_t + 0,
                         self.r_part + 0, self.r_part + 1, tag))
@@ -337,7 +300,7 @@ class ElasticFourBlockKernels(KernelBase):
                 sb, _ = s_blocks[VOIGT_NAMES[q]]
                 insts.append(self._transfer(
                     sb, vb, rows, rows, self._contrib_col(VOIGT_NAMES[q]),
-                    self.r_t + 0, 1, f"{tag}:sync"))
+                    self.r_t + 0, 1, VOLUME_SYNC_TAG))
             # --- stress blocks: div(sigma) chains for velocity contribs ---
             for vi, v in enumerate(V_VARS):
                 base_b = None
@@ -345,18 +308,18 @@ class ElasticFourBlockKernels(KernelBase):
                     sb, scol = s_blocks[var]
                     if base_b is None:
                         base_b = sb
-                        insts += self._derivative_chain(sb, axis, scol, self.r_acc, tag)
+                        insts += self._derivative_chain(sb, lay, axis, scol, self.r_acc, tag)
                         continue
                     acc = self.r_part + 0
-                    insts += self._derivative_chain(sb, axis, scol, acc, tag)
+                    insts += self._derivative_chain(sb, lay, axis, scol, acc, tag)
                     if sb != base_b:
                         insts.append(self._transfer(
-                            base_b, sb, rows, rows, self.r_part + 1, acc, 1, f"{tag}:sync"))
+                            base_b, sb, rows, rows, self.r_part + 1, acc, 1, VOLUME_SYNC_TAG))
                         acc = self.r_part + 1
                     insts.append(self._arith(
                         Opcode.ADD, base_b, rows, self.r_acc, self.r_acc, acc, tag))
                 insts.append(self._transfer(
-                    vb, base_b, rows, rows, self.r_part + 0, self.r_acc, 1, f"{tag}:sync"))
+                    vb, base_b, rows, rows, self.r_part + 0, self.r_acc, 1, VOLUME_SYNC_TAG))
                 insts.append(self._arith(
                     Opcode.MUL, vb, rows, lay.col_contrib[self._ABC[vi]],
                     self.r_part + 0, lay.col_econst[0], tag))
@@ -366,10 +329,10 @@ class ElasticFourBlockKernels(KernelBase):
     # Flux (functional for central AND Riemann)
     # ------------------------------------------------------------------ #
 
-    def _star_delta(self, bb, fr, face, dst, d_main, d_other, c_main, c_other,
-                    tag, skip_other):
+    def _star_delta(self, bb, fr, face, dst, d_main, d_other, c_main, c_other, skip_other):
         """``dst = c[c_main] * d_main (+ c[c_other] * d_other)`` on face rows."""
-        lay = self.lay3
+        lay = self.layout
+        tag = COMPUTE_TAG
         cmap = lay.face_row_map(fr, lay.row_flux0 + face)
         insts = [self._gather(bb, fr, self.r_c + 0, c_main, cmap, tag)]
         if not skip_other:
@@ -386,14 +349,22 @@ class ElasticFourBlockKernels(KernelBase):
                                      src1=self.r_t + 1, tag=tag))
         return insts
 
-    def flux(self, faces=range(6), fetch_tag="flux:fetch", compute_tag="flux:compute",
-             elements=None) -> list:
+    def _ship(self, e, bb, fr, var):
+        """Send the buffer block's correction ``r_t`` to ``var``'s block
+        and add it into the contribution."""
+        db, _ = self.block_of_var(e, var)
+        cc = self._contrib_col(var)
+        return [
+            self._transfer(db, bb, fr, fr, self.r_t + 0, self.r_t + 0, 1, INTRA_TAG),
+            self._arith(Opcode.ADD, db, fr, cc, cc, self.r_t + 0, COMPUTE_TAG),
+        ]
+
+    def flux(self, faces=range(6), elements=None) -> list:
         """Per-face star-state corrections through the buffer block."""
-        lay = self.lay3
+        lay = self.layout
         riemann = self.flux_kind != "central"
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             bb = self.mapper.block_of(e, self.B)
             vb = self.mapper.block_of(e, self.V)
             for face in faces:
@@ -409,19 +380,19 @@ class ElasticFourBlockKernels(KernelBase):
                 # 1. inter-element fetches into the buffer block
                 insts.append(self._transfer(
                     bb, self.mapper.block_of(nbr, self.V), fr, nfr, self.r_nb_v,
-                    lay.col_var["a"], 3, fetch_tag))
+                    lay.col_var["a"], 3, FETCH_TAG))
                 for i, var in enumerate(trac):
                     nb_b, nb_col = self.block_of_var(nbr, var)
                     insts.append(self._transfer(
-                        bb, nb_b, fr, nfr, self.r_nb_t + i, nb_col, 1, fetch_tag))
+                        bb, nb_b, fr, nfr, self.r_nb_t + i, nb_col, 1, FETCH_TAG))
                 # 2. own data over the short intra-quad paths (Fig. 9)
                 insts.append(self._transfer(
                     bb, vb, fr, fr, self.r_own_v, lay.col_var["a"], 3,
-                    f"{fetch_tag}:intra"))
+                    INTRA_TAG))
                 for i, var in enumerate(trac):
                     ob, ocol = self.block_of_var(e, var)
                     insts.append(self._transfer(
-                        bb, ob, fr, fr, self.r_own_t + i, ocol, 1, f"{fetch_tag}:intra"))
+                        bb, ob, fr, fr, self.r_own_t + i, ocol, 1, INTRA_TAG))
 
                 # 3. jumps, in place: Dv_i = s (v+ - v-) — the outward sign
                 #    is folded in by swapping the SUB operands on negative
@@ -431,10 +402,10 @@ class ElasticFourBlockKernels(KernelBase):
                     if sign < 0:
                         v1, v2 = v2, v1
                     insts.append(self._arith(
-                        Opcode.SUB, bb, fr, self.r_nb_v + i, v1, v2, compute_tag))
+                        Opcode.SUB, bb, fr, self.r_nb_v + i, v1, v2, COMPUTE_TAG))
                     insts.append(self._arith(
                         Opcode.SUB, bb, fr, self.r_nb_t + i, self.r_nb_t + i,
-                        self.r_own_t + i, compute_tag))
+                        self.r_own_t + i, COMPUTE_TAG))
 
                 # 4. star deltas into the (now free) own_* registers:
                 #    own_v[i] <- X (i==axis) or Y_i ; own_t[i] <- W_i
@@ -442,118 +413,61 @@ class ElasticFourBlockKernels(KernelBase):
                     cm, co = (0, 1) if i == axis else (4, 5)
                     insts += self._star_delta(
                         bb, fr, face, self.r_own_v + i, self.r_nb_v + i,
-                        self.r_nb_t + i, cm, co, compute_tag, skip_other=not riemann)
+                        self.r_nb_t + i, cm, co, skip_other=not riemann)
                 for i in range(3):
                     cm, co = (2, 3) if i == axis else (6, 7)
                     insts += self._star_delta(
                         bb, fr, face, self.r_own_t + i, self.r_nb_t + i,
-                        self.r_nb_v + i, cm, co, compute_tag, skip_other=not riemann)
+                        self.r_nb_v + i, cm, co, skip_other=not riemann)
 
-                # 5. corrections, shipped to the hosting blocks
-                def correction(dst_var, emit):
-                    local = []
-                    emit(local)
-                    db, _ = self.block_of_var(e, dst_var)
-                    local.append(self._transfer(
-                        db, bb, fr, fr, self.r_t + 0, self.r_t + 0, 1,
-                        f"{fetch_tag}:intra"))
-                    cc = self._contrib_col(dst_var)
-                    local.append(self._arith(
-                        Opcode.ADD, db, fr, cc, cc, self.r_t + 0, compute_tag))
-                    return local
-
-                # common diagonal term lift*lam*X (const col 8)
-                insts.append(self._gather(bb, fr, self.r_c + 0, 8, cmap, compute_tag))
+                # 5. corrections in r_t, each shipped to its hosting block:
+                #    common diagonal term lift*lam*X (const col 8)
+                insts.append(self._gather(bb, fr, self.r_c + 0, 8, cmap, COMPUTE_TAG))
                 insts.append(self._arith(
                     Opcode.MUL, bb, fr, self.r_tmp, self.r_c + 0,
-                    self.r_own_v + axis, compute_tag))
+                    self.r_own_v + axis, COMPUTE_TAG))
                 for i in range(3):
-                    var = TENSOR_TO_VOIGT[(i, i)]
-
-                    def emit_diag(out, i=i):
-                        if i == axis:
-                            # lift*lam*X + 2*lift*mu*X
-                            out.append(self._gather(
-                                bb, fr, self.r_c + 1, 9, cmap, compute_tag))
-                            out.append(self._arith(
-                                Opcode.MUL, bb, fr, self.r_t + 0, self.r_c + 1,
-                                self.r_own_v + axis, compute_tag))
-                            out.append(self._arith(
-                                Opcode.ADD, bb, fr, self.r_t + 0, self.r_t + 0,
-                                self.r_t + 0, compute_tag))
-                            out.append(self._arith(
-                                Opcode.ADD, bb, fr, self.r_t + 0, self.r_t + 0,
-                                self.r_tmp, compute_tag))
-                        else:
-                            out.append(Instruction(
-                                Opcode.COPY, block=bb, rows=fr, dst=self.r_t + 0,
-                                src1=self.r_tmp, tag=compute_tag))
-
-                    insts += correction(var, emit_diag)
-                # off-diagonals sigma_{axis,j}: lift*mu*Y_j (const col 9)
-                insts.append(self._gather(bb, fr, self.r_c + 1, 9, cmap, compute_tag))
-                for j in range(3):
-                    if j == axis:
-                        continue
-                    var = TENSOR_TO_VOIGT[(axis, j)]
-
-                    def emit_off(out, j=j):
-                        out.append(self._arith(
+                    if i == axis:
+                        # lift*lam*X + 2*lift*mu*X
+                        insts.append(self._gather(bb, fr, self.r_c + 1, 9, cmap, COMPUTE_TAG))
+                        insts.append(self._arith(
                             Opcode.MUL, bb, fr, self.r_t + 0, self.r_c + 1,
-                            self.r_own_v + j, compute_tag))
-
-                    insts += correction(var, emit_off)
+                            self.r_own_v + axis, COMPUTE_TAG))
+                        insts.append(self._arith(
+                            Opcode.ADD, bb, fr, self.r_t + 0, self.r_t + 0,
+                            self.r_t + 0, COMPUTE_TAG))
+                        insts.append(self._arith(
+                            Opcode.ADD, bb, fr, self.r_t + 0, self.r_t + 0,
+                            self.r_tmp, COMPUTE_TAG))
+                    else:
+                        insts.append(Instruction(
+                            Opcode.COPY, block=bb, rows=fr, dst=self.r_t + 0,
+                            src1=self.r_tmp, tag=COMPUTE_TAG))
+                    insts += self._ship(e, bb, fr, TENSOR_TO_VOIGT[(i, i)])
+                # off-diagonals sigma_{axis,j}: lift*mu*Y_j (const col 9)
+                insts.append(self._gather(bb, fr, self.r_c + 1, 9, cmap, COMPUTE_TAG))
+                for j in range(3):
+                    if j != axis:
+                        insts.append(self._arith(
+                            Opcode.MUL, bb, fr, self.r_t + 0, self.r_c + 1,
+                            self.r_own_v + j, COMPUTE_TAG))
+                        insts += self._ship(e, bb, fr, TENSOR_TO_VOIGT[(axis, j)])
                 # velocities: (lift*s/rho) * W_i (const col 10)
-                insts.append(self._gather(bb, fr, self.r_c + 0, 10, cmap, compute_tag))
+                insts.append(self._gather(bb, fr, self.r_c + 0, 10, cmap, COMPUTE_TAG))
                 for i in range(3):
-                    var = V_VARS[i]
-
-                    def emit_vel(out, i=i):
-                        out.append(self._arith(
-                            Opcode.MUL, bb, fr, self.r_t + 0, self.r_c + 0,
-                            self.r_own_t + i, compute_tag))
-
-                    insts += correction(var, emit_vel)
+                    insts.append(self._arith(
+                        Opcode.MUL, bb, fr, self.r_t + 0, self.r_c + 0,
+                        self.r_own_t + i, COMPUTE_TAG))
+                    insts += self._ship(e, bb, fr, V_VARS[i])
         return insts
 
     # ------------------------------------------------------------------ #
 
-    def integration(self, stage: int, dt: float, tag: str = "integration",
-                    elements=None) -> list:
-        lay = self.lay3
-        rows = lay.compute_rows
-        a_s, b_s = float(self.rk.A[stage]), float(self.rk.B[stage])
+    def integration(self, stage: int, dt: float, elements=None) -> list:
         insts = []
-        r_ic = self.r_c  # two coefficient registers; B_s rides in r_t
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             for part in (self.S1, self.S2, self.V):
-                b = self.mapper.block_of(e, part)
-                insts.append(self._bcast(b, rows, r_ic + 0, a_s, tag))
-                insts.append(self._bcast(b, rows, r_ic + 1, float(dt), tag))
-                insts.append(self._bcast(b, rows, self.r_t + 0, b_s, tag))
-                for v in self._ABC:
-                    aux, contrib, var = lay.col_aux[v], lay.col_contrib[v], lay.col_var[v]
-                    insts.append(self._arith(Opcode.MUL, b, rows, aux, aux, r_ic + 0, tag))
-                    insts.append(self._arith(
-                        Opcode.MUL, b, rows, self.r_tmp, contrib, r_ic + 1, tag))
-                    insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
-                    insts.append(self._arith(
-                        Opcode.MUL, b, rows, self.r_tmp, aux, self.r_t + 0, tag))
-                    insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
+                insts += self._lsrk_update(
+                    self.mapper.block_of(e, part), self.layout, self._ABC, stage, dt,
+                    self.r_lsrk)
         return insts

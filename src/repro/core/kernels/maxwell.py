@@ -26,13 +26,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.base import KernelBase, face_sign_axis
+from repro.core.kernels.base import (
+    COMPUTE_TAG,
+    FETCH_TAG,
+    VOLUME_TAG,
+    KernelBase,
+    face_sign_axis,
+)
 from repro.core.layout import ElementLayout
 from repro.core.mapper import ElementMapper
 from repro.dg.maxwell import ElectromagneticMaterial
 from repro.dg.mesh import HexMesh
 from repro.dg.reference_element import ReferenceElement
-from repro.pim.isa import Instruction, Opcode
+from repro.pim.isa import Opcode
 
 __all__ = ["MaxwellOneBlockKernels"]
 
@@ -73,7 +79,8 @@ class MaxwellOneBlockKernels(KernelBase):
         self.r_d = s.alloc(2)  # jumps
         self.r_c = s.alloc(2)  # face constants
         self.r_t = s.alloc()
-        self.r_ic = self.r_c  # integration constants reuse the face regs
+        # integration constants reuse the face regs
+        self.r_lsrk = (self.r_c, self.r_c + 1, self.r_t)
 
     # -- helpers ----------------------------------------------------------- #
 
@@ -97,16 +104,10 @@ class MaxwellOneBlockKernels(KernelBase):
 
     def setup(self, elements=None) -> list:
         lay = self.layout
-        d = self.element.diff_1d
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             b = self.mapper.block_of(e)
-            insts.append(Instruction(Opcode.DRAM_LOAD, block=b, tag="setup",
-                                     meta={"bytes": lay.n_nodes * 4 * 8}))
-            rows = (lay.row_dshape0, lay.row_dshape0 + lay.npts)
-            for a in range(lay.npts):
-                insts.append(self._bcast(b, rows, a, d[:, a], "setup"))
+            insts += self._setup_preamble(b, lay)
             inv_eps = self.dscale / self.material.eps[e]
             inv_mu = self.dscale / self.material.mu[e]
             insts.append(self._bcast(
@@ -114,68 +115,18 @@ class MaxwellOneBlockKernels(KernelBase):
             insts.append(self._bcast(
                 b, lay.compute_rows, lay.col_econst[1], float(inv_mu), "setup"))
             for face in range(6):
-                row = (lay.row_flux0 + face, lay.row_flux0 + face + 1)
-                for c, val in enumerate(self._face_constants(e, face)):
-                    insts.append(self._bcast(b, row, c, float(val), "setup"))
+                insts += self._flux_row_constants(b, lay, face, self._face_constants(e, face))
         return insts
-
-    def load_state(self, state: np.ndarray, elements=None) -> list:
-        lay = self.layout
-        insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            b = self.mapper.block_of(e)
-            insts.append(Instruction(Opcode.DRAM_LOAD, block=b, tag="load",
-                                     meta={"bytes": lay.n_nodes * 4 * 6}))
-            for i, v in enumerate(_VARS):
-                insts.append(self._bcast(
-                    b, lay.compute_rows, lay.col_var[v], state[i, e].astype(np.float32),
-                    "load"))
-        return insts
-
-    def read_state(self, chip, elements=None) -> np.ndarray:
-        lay = self.layout
-        out = np.zeros((6, self.mesh.n_elements, lay.n_nodes), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            blk = chip.block(self.mapper.block_of(e))
-            for i, v in enumerate(_VARS):
-                out[i, e] = blk.data[: lay.n_nodes, lay.col_var[v]]
-        return out
-
-    def read_contributions(self, chip, elements=None) -> np.ndarray:
-        lay = self.layout
-        out = np.zeros((6, self.mesh.n_elements, lay.n_nodes), dtype=np.float32)
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            blk = chip.block(self.mapper.block_of(e))
-            for i, v in enumerate(_VARS):
-                out[i, e] = blk.data[: lay.n_nodes, lay.col_contrib[v]]
-        return out
 
     # -- Volume: the two curls --------------------------------------------- #
 
-    def _derivative_chain(self, b, axis, var_col, acc_col, tag):
-        lay = self.layout
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            dst = acc_col if a == 0 else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if a != 0:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
-    def volume(self, tag: str = "volume", elements=None) -> list:
+    def volume(self, elements=None) -> list:
         """contrib_E = (ds/eps) curl H ; contrib_H = -(ds/mu) curl E."""
         lay = self.layout
         rows = lay.compute_rows
+        tag = VOLUME_TAG
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             b = self.mapper.block_of(e)
             for field, econst, negate in (("H", lay.col_econst[0], False),
                                           ("E", lay.col_econst[1], True)):
@@ -183,9 +134,9 @@ class MaxwellOneBlockKernels(KernelBase):
                 for i, j, k in _CYCLIC:
                     # curl(F)_i = dF_k/dx_j - dF_j/dx_k
                     insts += self._derivative_chain(
-                        b, j, self._var_col(k, field), self.r_acc, tag)
+                        b, lay, j, self._var_col(k, field), self.r_acc, tag)
                     insts += self._derivative_chain(
-                        b, k, self._var_col(j, field), self.r_d + 0, tag)
+                        b, lay, k, self._var_col(j, field), self.r_d + 0, tag)
                     first, second = (self.r_d + 0, self.r_acc) if negate else (
                         self.r_acc, self.r_d + 0)
                     insts.append(self._arith(
@@ -198,13 +149,11 @@ class MaxwellOneBlockKernels(KernelBase):
 
     # -- Flux -------------------------------------------------------------- #
 
-    def flux(self, faces=range(6), fetch_tag="flux:fetch", compute_tag="flux:compute",
-             elements=None) -> list:
+    def flux(self, faces=range(6), elements=None) -> list:
         lay = self.layout
         upwind = self.alpha != 0.0
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
+        for e in self._elements(elements):
             b = self.mapper.block_of(e)
             for face in faces:
                 fr = self.face_rows(face)
@@ -234,76 +183,46 @@ class MaxwellOneBlockKernels(KernelBase):
                         same = self._var_col(i, target)
                         # jumps: d_partner, d_same
                         insts.append(self._transfer(
-                            b, nb, fr, nfr, self.r_nb + 0, partner, 1, fetch_tag))
+                            b, nb, fr, nfr, self.r_nb + 0, partner, 1, FETCH_TAG))
                         insts.append(self._arith(
                             Opcode.SUB, b, fr, self.r_d + 0, self.r_nb + 0, partner,
-                            compute_tag))
+                            COMPUTE_TAG))
                         insts.append(self._gather(
-                            b, fr, self.r_c + 0, target_const, cmap, compute_tag))
+                            b, fr, self.r_c + 0, target_const, cmap, COMPUTE_TAG))
                         insts.append(self._arith(
                             Opcode.MUL, b, fr, self.r_t, self.r_c + 0, self.r_d + 0,
-                            compute_tag))
+                            COMPUTE_TAG))
                         if parity < 0:
                             # negate via 0 - x: reuse SUB with a zeroed reg
                             insts.append(self._bcast(b, fr, self.r_d + 1, 0.0,
-                                                     compute_tag))
+                                                     COMPUTE_TAG))
                             insts.append(self._arith(
                                 Opcode.SUB, b, fr, self.r_t, self.r_d + 1, self.r_t,
-                                compute_tag))
+                                COMPUTE_TAG))
                         if upwind:
                             insts.append(self._transfer(
-                                b, nb, fr, nfr, self.r_nb + 1, same, 1, fetch_tag))
+                                b, nb, fr, nfr, self.r_nb + 1, same, 1, FETCH_TAG))
                             insts.append(self._arith(
                                 Opcode.SUB, b, fr, self.r_d + 1, self.r_nb + 1, same,
-                                compute_tag))
+                                COMPUTE_TAG))
                             insts.append(self._gather(
-                                b, fr, self.r_c + 1, pen_const, cmap, compute_tag))
+                                b, fr, self.r_c + 1, pen_const, cmap, COMPUTE_TAG))
                             insts.append(self._arith(
                                 Opcode.MUL, b, fr, self.r_d + 1, self.r_c + 1,
-                                self.r_d + 1, compute_tag))
+                                self.r_d + 1, COMPUTE_TAG))
                             insts.append(self._arith(
                                 Opcode.ADD, b, fr, self.r_t, self.r_t, self.r_d + 1,
-                                compute_tag))
+                                COMPUTE_TAG))
                         cc = lay.col_contrib[f"{target}{'xyz'[i]}"]
                         insts.append(self._arith(
-                            Opcode.ADD, b, fr, cc, cc, self.r_t, compute_tag))
+                            Opcode.ADD, b, fr, cc, cc, self.r_t, COMPUTE_TAG))
         return insts
 
     # -- Integration -------------------------------------------------------- #
 
-    def integration(self, stage: int, dt: float, tag: str = "integration",
-                    elements=None) -> list:
-        lay = self.layout
-        rows = lay.compute_rows
-        a_s, b_s = float(self.rk.A[stage]), float(self.rk.B[stage])
+    def integration(self, stage: int, dt: float, elements=None) -> list:
         insts = []
-        for e in (self.mapper.elements if elements is None else elements):
-            e = int(e)
-            b = self.mapper.block_of(e)
-            insts.append(self._bcast(b, rows, self.r_ic + 0, a_s, tag))
-            insts.append(self._bcast(b, rows, self.r_ic + 1, float(dt), tag))
-            insts.append(self._bcast(b, rows, self.r_t, b_s, tag))
-            for v in _VARS:
-                aux, contrib, var = lay.col_aux[v], lay.col_contrib[v], lay.col_var[v]
-                insts.append(self._arith(Opcode.MUL, b, rows, aux, aux, self.r_ic + 0, tag))
-                insts.append(self._arith(
-                    Opcode.MUL, b, rows, self.r_tmp, contrib, self.r_ic + 1, tag))
-                insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
-                insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, self.r_t, tag))
-                insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
+        for e in self._elements(elements):
+            insts += self._lsrk_update(
+                self.mapper.block_of(e), self.layout, _VARS, stage, dt, self.r_lsrk)
         return insts

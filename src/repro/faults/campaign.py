@@ -86,7 +86,6 @@ class _Proxy:
             self.kern = AcousticOneBlockKernels(
                 mesh, elem, mat, mapper, flux_kind=spec.flux_kind
             )
-            n_vars = 4
         else:
             mat = ElasticMaterial(
                 lam=rng.uniform(1.0, 2.0, mesh.n_elements),
@@ -99,9 +98,8 @@ class _Proxy:
             self.kern = ElasticFourBlockKernels(
                 mesh, elem, mat, mapper, flux_kind=spec.flux_kind
             )
-            n_vars = 9
         self.state = (
-            (0.1 * rng.standard_normal((n_vars, mesh.n_elements, elem.n_nodes)))
+            (0.1 * rng.standard_normal((self.kern.n_vars, mesh.n_elements, elem.n_nodes)))
             .astype(np.float32)
             .astype(np.float64)
         )

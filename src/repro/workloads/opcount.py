@@ -89,17 +89,13 @@ def count_benchmark(spec: BenchmarkSpec, order: int | None = None) -> OpCount:
         kern = ElasticFourBlockKernels(mesh, element, material, mapper, spec.flux_kind)
 
     rep = [int(mapper.elements[mapper.n_elements // 2])]
-    vol_f, vol_w = _stream_counts(kern.volume(elements=rep))
-    flux_f, flux_w = _stream_counts(kern.flux(elements=rep))
-    integ_f, integ_w = _stream_counts(kern.integration(0, 1e-4, elements=rep))
-    n_insts = sum(
-        len(k)
-        for k in (
-            kern.volume(elements=rep),
-            kern.flux(elements=rep),
-            kern.integration(0, 1e-4, elements=rep),
-        )
-    )
+    vol = kern.volume(elements=rep)
+    flux = kern.flux(elements=rep)
+    integ = kern.integration(0, 1e-4, elements=rep)
+    vol_f, vol_w = _stream_counts(vol)
+    flux_f, flux_w = _stream_counts(flux)
+    integ_f, integ_w = _stream_counts(integ)
+    n_insts = len(vol) + len(flux) + len(integ)
 
     K = spec.n_elements
     fp_volume = vol_f * K

@@ -124,3 +124,42 @@ class TestEstimate:
         est = estimate_benchmark(cb, n_steps=16, scale_to_12nm=True)
         assert est.name == "PIM-2GB-12nm"
         assert est.power_w > 0
+
+
+#: (physics, level, chip) covering every generator the compiler builds
+LANE_CASES = [
+    ("acoustic", 4, "512MB"),  # N: AcousticOneBlockKernels
+    ("acoustic", 3, "512MB"),  # E_p: AcousticFourBlockKernels
+    ("elastic", 3, "512MB"),  # E_r: ElasticFourBlockKernels
+    ("elastic", 2, "512MB"),  # E_r&E_p: the 4-block elastic streams again
+]
+
+
+class TestFetchLane:
+    """``is_fetch`` splits flux into the Fig. 13 compute and fetch lanes."""
+
+    @pytest.mark.parametrize("flux", ["central", "riemann"])
+    @pytest.mark.parametrize("physics,level,chip", LANE_CASES)
+    def test_lanes_partition_the_flux_stream(self, compiler, physics, level, chip, flux):
+        from repro.core.compiler import MINUS_FACES, PLUS_FACES
+        from repro.core.kernels.base import is_fetch
+        from repro.pim.isa import Opcode
+
+        _plan, mesh, _element, mapper, kern = compiler._prepare(
+            physics, level, CHIP_CONFIGS[chip], flux, ORDER)
+        _rep, interior, true_interior = compiler.representative_elements(mapper, mesh)
+        tile = mapper.tile_of(interior[0])
+        tile_elems = [e for e in true_interior if mapper.tile_of(e) == tile]
+        assert tile_elems
+        for faces in (MINUS_FACES, PLUS_FACES):
+            insts = kern.flux(faces=faces, elements=tile_elems)
+            compute = [i for i in insts if not is_fetch(i)]
+            fetch = [i for i in insts if is_fetch(i)]
+            assert compute and fetch
+            # nothing lost, nothing duplicated
+            assert len(compute) + len(fetch) == len(insts)
+            assert {id(i) for i in compute} | {id(i) for i in fetch} == {id(i) for i in insts}
+            assert all(i.op is Opcode.TRANSFER and i.tag.startswith("flux:fetch")
+                       for i in fetch)
+            # every flux data move rides the fetch lane
+            assert not any(i.op is Opcode.TRANSFER for i in compute)

@@ -111,7 +111,7 @@ class TestStreams:
         size-consistent (executor validates everything)."""
         chip = PimChip(CHIP_CONFIGS["512MB"])
         ex = ChipExecutor(chip)
-        state = np.zeros((9, kernels.mesh.n_elements, kernels.lay3.n_nodes), dtype=np.float32)
+        state = np.zeros((9, kernels.mesh.n_elements, kernels.layout.n_nodes), dtype=np.float32)
         ex.run(kernels.setup() + kernels.load_state(state), functional=True)
         rep = ex.run(kernels.time_step(1e-3), functional=True)
         assert rep.total_time_s > 0
@@ -122,7 +122,7 @@ class TestStreams:
         ex = ChipExecutor(chip)
         rng = np.random.default_rng(0)
         state = rng.standard_normal(
-            (9, kernels.mesh.n_elements, kernels.lay3.n_nodes)
+            (9, kernels.mesh.n_elements, kernels.layout.n_nodes)
         ).astype(np.float32)
         ex.run(kernels.setup() + kernels.load_state(state), functional=True)
         assert np.allclose(kernels.read_state(chip), state)
