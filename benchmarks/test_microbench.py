@@ -104,9 +104,7 @@ def test_folded_step_throughput(benchmark):
 # with the `repro bench` subcommand and the CI perf job)
 # --------------------------------------------------------------------- #
 
-from repro.eval.bench import (  # noqa: E402  (re-exported for back-compat)
-    REGRESSION_FACTOR,
-    SEED_BASELINE,
+from repro.eval.bench import (  # noqa: E402
     append_entry,
     history_summary,
     measure_hot_paths,

@@ -17,7 +17,7 @@ y-interface is computed exactly once with both operands resident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["BatchStep", "flux_slice_schedule", "batch_dram_traffic", "volume_batch_steps"]
 

@@ -18,7 +18,7 @@ The result feeds :mod:`repro.core.runtime` for end-to-end time/energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.compiler import CompiledBenchmark, WavePimCompiler
+from repro.core.compiler import CompiledBenchmark
 from repro.core.pipeline import pipelined_stage_time, serial_stage_time
 from repro.obs import get_metrics, get_tracer
 from repro.pim.chip import PimChip
 from repro.pim.energy import EnergyAccount
 from repro.pim.hbm import HbmModel
-from repro.pim.params import DEFAULT_SCALING, ChipConfig, ProcessScaling
+from repro.pim.params import DEFAULT_SCALING, ProcessScaling
 
 __all__ = ["PimRunEstimate", "estimate_benchmark", "RK_STAGES_PER_STEP"]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pim.magic import FULL_ADDER_STEPS, int_add_steps, int_multiply_steps
+from repro.pim.magic import int_add_steps, int_multiply_steps
 from repro.pim.params import DEFAULT_DEVICE, DeviceParams
 
 __all__ = [

@@ -53,7 +53,6 @@ from repro.pim.isa import ARITHMETIC_OPS, Instruction, Opcode
 from repro.pim.plan import (
     APPLY_ARITH,
     APPLY_ARITH_BATCH,
-    APPLY_BROADCAST,
     APPLY_COPY,
     APPLY_COPY_BATCH,
     APPLY_GATHER,

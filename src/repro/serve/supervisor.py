@@ -32,14 +32,13 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.obs import get_logger, get_metrics, get_tracer
 from repro.serve.queue import (
-    DONE,
     FAILED,
     JobStore,
     QUARANTINED,

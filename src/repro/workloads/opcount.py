@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.kernels.acoustic import AcousticOneBlockKernels
 from repro.core.kernels.elastic import ElasticFourBlockKernels
 from repro.core.mapper import ElementMapper

@@ -13,7 +13,7 @@ cannot hold, which is precisely the r=6-and-beyond scaling story.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 from repro.pim.params import ChipConfig
 

@@ -7,9 +7,7 @@ import pytest
 
 from repro.dg import (
     AcousticMaterial,
-    AcousticOperator,
     ElasticMaterial,
-    ElasticOperator,
     HexMesh,
     ReferenceElement,
 )

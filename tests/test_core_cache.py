@@ -6,7 +6,6 @@ worst case is always a recompile.
 """
 
 import dataclasses
-import os
 
 import pytest
 

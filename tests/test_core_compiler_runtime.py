@@ -4,10 +4,9 @@ All compilations here use small element orders so the suite stays fast;
 the order-7 paper geometry is exercised by the benchmark harness.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.compiler import CompiledBenchmark, WavePimCompiler
+from repro.core.compiler import WavePimCompiler
 from repro.core.runtime import estimate_benchmark
 from repro.pim.params import CHIP_CONFIGS
 

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from repro.eval import EXPERIMENTS, Table, format_table, run_experiment
-from repro.eval.experiments import (
-    PAPER_FIG11_AVG,
-    PAPER_FIG14_SHARES,
-    PAPER_NO_PIPELINE_THROUGHPUT,
-)
+from repro.eval.experiments import PAPER_NO_PIPELINE_THROUGHPUT
 
 ORDER = 3
 

@@ -1,6 +1,5 @@
 """GPU/CPU baseline models and the Table 6 workload counts."""
 
-import numpy as np
 import pytest
 
 from repro.gpu import (

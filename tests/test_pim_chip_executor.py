@@ -46,8 +46,8 @@ class TestChip:
     def test_locate_roundtrip(self):
         chip = PimChip(CHIP_CONFIGS["512MB"])
         for g in (0, 255, 256, 4095):
-            t, l = chip.locate(g)
-            assert t * 256 + l == g
+            tile, local = chip.locate(g)
+            assert tile * 256 + local == g
 
     def test_locate_bounds(self):
         chip = PimChip(CHIP_CONFIGS["512MB"])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.pim.arithmetic import (
     HostOpModel,
-    OpCosts,
     default_op_costs,
     float32_add_nors,
     float32_mul_nors,
