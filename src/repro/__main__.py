@@ -347,7 +347,7 @@ def _cmd_bench(args) -> int:
           f"link_util {fmt_rate(entry.get('link_util'))}   "
           f"binding {entry.get('binding_resource') or 'not measured'}")
     print(f"{'counters':16s} {fmt_rate(entry.get('counters_overhead'))}x "
-          f"enabled-replay overhead (budget 1.02x)")
+          f"enabled-replay overhead")
     if entry.get("shards"):
         r6 = entry.get("r6") or {}
         print(f"{'shard scaling':16s} {entry['shard_speedup']:.2f}x at "

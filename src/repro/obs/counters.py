@@ -15,7 +15,8 @@ replay-side record is a *single tuple append to a raw log* per
 segment/transfer — never per instruction on the vectorized path, and never
 a dict update — with all aggregation deferred to the first read
 (:meth:`HardwareCounters._finalize`).  That keeps enabled-replay overhead
-within the ~2% budget the bench's ``counters_overhead`` field tracks.
+small; the bench's ``counters_overhead`` field records the measured ratio,
+which run-to-run noise of several percent keeps from being gated.
 
 :func:`attribute_makespan` rolls a recording up into a
 :class:`MakespanAttribution`: an interval sweep partitions the makespan
